@@ -19,6 +19,7 @@ error.  Output is deterministic for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import re
 import sys
@@ -43,7 +44,7 @@ from .operators import (
     product_defect,
 )
 from .compactness import commutator_decay, eta
-from .dual import block_decomposition_check, dual_bh_residuals
+from .dual import block_decomposition_check
 from .gamma import (
     GammaTuple,
     check_gamma_isometry,
@@ -100,9 +101,12 @@ def _parse_point(text: str) -> tuple:
     values = []
     for piece in parts:
         try:
-            values.append(complex(piece.replace(" ", "")))
+            value = complex(piece.replace(" ", ""))
         except ValueError as exc:
             raise _InputError(f"bad coordinate {piece!r} in point") from exc
+        if not cmath.isfinite(value):
+            raise _InputError(f"coordinate {piece!r} in point is not finite")
+        values.append(value)
     return tuple(values)
 
 
@@ -114,8 +118,8 @@ def _parse_operator(text: str, d: int) -> OperatorSpec:
     if match is None:
         raise _InputError(f"unknown operator {text!r}; expected shiftY<j>")
     j = int(match.group(1))
-    if not 1 <= j <= d:
-        raise _InputError(f"shift index {j} out of range for d={d}")
+    if not 1 <= j <= d - 1:
+        raise _InputError(f"shift index {j} out of range 1..{d - 1} for d={d}")
     return ShiftY(d, j)
 
 
@@ -165,7 +169,13 @@ def _matrix_windows(args) -> tuple[Window, Window]:
     return win, win
 
 
+def _check_maxtop(maxtop: int | None) -> None:
+    if maxtop is not None and maxtop < 0:
+        raise _InputError(f"--maxtop must be >= 0, got {maxtop}")
+
+
 def _cmd_matrix(args) -> int:
+    _check_maxtop(args.maxtop)
     if args.kind == "shiftY":
         if args.j is None:
             raise _InputError("--kind shiftY requires --j")
@@ -204,18 +214,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _suite_brown_halmos(args, phi, op, window):
+    # the window's side picks the Toeplitz or the dual relations
     residuals = bh_residuals(op, window)
-    witnesses = []
-    for res in residuals:
-        witnesses.extend(_witness_dicts(res))
-    norms = [res.max_abs() for res in residuals]
-    return all(res.is_zero() for res in residuals), witnesses, norms, {
-        "residual_count": len(residuals)
-    }
-
-
-def _suite_dual(args, phi, op, window):
-    residuals = dual_bh_residuals(op, window)
     witnesses = []
     for res in residuals:
         witnesses.extend(_witness_dicts(res))
@@ -261,7 +261,7 @@ def _suite_lift(args, phi, op, window):
 
 
 def _suite_decay(args, phi, op, window):
-    report = commutator_decay(op, args.j, 4, window)
+    report = commutator_decay(op, args.j, 4, window, seed=args.seed)
     return report.final_exact_zero, [], list(report.norms), report.to_json_dict()
 
 
@@ -275,7 +275,7 @@ _SUITES = {
     "analytic": (_suite_analytic, "analytic"),
     "defect": (_suite_defect, "analytic"),
     "block": (_suite_block, "full"),
-    "dual-brown-halmos": (_suite_dual, "dual"),
+    "dual-brown-halmos": (_suite_brown_halmos, "dual"),
     "lift": (_suite_lift, "full"),
     "decay": (_suite_decay, "analytic"),
     "eta": (_suite_eta, "analytic"),
@@ -301,6 +301,7 @@ def _default_maxtop(suite: str, phi: Symbol | None, d: int) -> int:
 
 def _cmd_verify(args) -> int:
     runner, window_kind = _SUITES[args.suite]
+    _check_maxtop(args.maxtop)
     phi = None
     op: OperatorSpec | None = None
     if args.symbol is not None:
@@ -331,6 +332,9 @@ def _cmd_verify(args) -> int:
         window = dual_window(d, top, bottom)
     else:
         window = enumerate_window(d, top, bottom)
+    if not len(window):
+        raise MarginError(
+            f"the {window_kind} window for d={d} is empty; widen --maxtop/--minbottom")
 
     verdict, witnesses, norms, details = runner(args, phi, op, window)
     config = {

@@ -22,22 +22,11 @@ from .operators import (
     bh_residuals,
     matrix_from_columns,
     norm_estimate,
-    vec_sub,
+    vec_combine,
 )
-from .partitions import Partition, Window
-from .scalars import ComplexRational
+from .partitions import Partition, Window, shift
+from .scalars import ONE
 from .symbols import Symbol, elementary
-
-ONE = ComplexRational(1)
-
-
-def _step(d: int, a: int) -> tuple[int, ...]:
-    # f_a = (1,...,1,0,...,0) with a ones; f_d is the diagonal step
-    return (1,) * a + (0,) * (d - a)
-
-
-def _shifted(p: Partition, step: tuple[int, ...], j: int) -> Partition:
-    return Partition._unsafe(tuple(x + j * s for x, s in zip(p, step)))
 
 
 @dataclass
@@ -45,7 +34,6 @@ class EtaReport:
     j: int
     blocks: dict  # (a, b) -> MatrixWindow, 1-based block coordinates
     block_norm: float
-    exact: bool = True
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.blocks.values())
@@ -82,17 +70,15 @@ def eta(T: OperatorSpec, j: int, window: Window,
     d = T.d
     blocks = {}
     for a in range(1, d + 1):
-        fa = _step(d, a)
         for b in range(1, d + 1):
-            fb = _step(d, b)
             entries = {}
             for jj, p in enumerate(window.members):
-                ps = _shifted(p, fb, j)
+                ps = shift(p, j, b)
                 for ii, q in enumerate(window.members):
-                    v = T.entry(_shifted(q, fa, j), ps)
+                    v = T.entry(shift(q, j, a), ps)
                     if v:
                         entries[(ii, jj)] = v
-            blocks[(a, b)] = MatrixWindow(window, window, entries, exact=True)
+            blocks[(a, b)] = MatrixWindow(window, window, entries)
     report = EtaReport(j, blocks, 0.0)
     report.block_norm = norm_estimate(report.stacked_dense(), iterations, seed)
     return report
@@ -121,7 +107,7 @@ def truncation_support(d: int, l: int) -> set:
     out = set()
     for r in range(l):
         for p in base:
-            out.add(Partition._unsafe(tuple(x + r for x in p)))
+            out.add(shift(p, r))
     return out
 
 
@@ -150,7 +136,7 @@ def finite_rank_truncation(T: OperatorSpec, l: int, window: Window) -> MatrixWin
             v = T.entry(q, p)
             if v:
                 entries[(i, j)] = v
-    return MatrixWindow(window, window, entries, exact=True)
+    return MatrixWindow(window, window, entries)
 
 
 @dataclass
@@ -159,7 +145,6 @@ class DecayReport:
     norms: list
     conjugated: list  # MatrixWindow per exponent n = 0..n_max
     bh_residual: MatrixWindow
-    exact: bool = True
 
     @property
     def final_exact_zero(self) -> bool:
@@ -191,20 +176,15 @@ def commutator_decay(T: OperatorSpec, i: int, n_max: int, window: Window,
     if window.d != d:
         raise DomainError("window dimension mismatch")
     si = Toeplitz(elementary(d, i))
-    diag = _step(d, d)
     norms = []
     mats = []
     for n in range(n_max + 1):
         columns = {}
         for p in window.members:
-            x = _shifted(p, diag, n)
-            col = vec_sub(T.apply(si.column(x)), si.apply(T.column(x)))
+            x = shift(p, n)
+            col = vec_combine(T.apply(si.column(x)), si.apply(T.column(x)), -1)
             # pull the shifted support back onto the window rows
-            back = {}
-            for r, v in col.items():
-                if r[-1] >= n:
-                    back[Partition._unsafe(tuple(e - n for e in r))] = v
-            columns[p] = back
+            columns[p] = {shift(r, -n): v for r, v in col.items() if r[-1] >= n}
         m = matrix_from_columns(columns, window, window)
         mats.append(m)
         norms.append(norm_estimate(m, iterations, seed))

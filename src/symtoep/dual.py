@@ -19,58 +19,31 @@ from .operators import (
     OperatorSpec,
     Toeplitz,
     assemble,
-    matrix_from_columns,
-    vec_sub,
+    bh_residual_column,
+    bh_residuals,
 )
 from .partitions import Partition, Window
 from .scalars import ComplexRational
-from .symbols import Symbol, elementary
-
-ONE = ComplexRational(1)
-
-
-def dual_entry(phi: Symbol, q, p) -> ComplexRational:
-    """Matrix element of the dual Toeplitz operator at non-analytic q, p."""
-    return DualToeplitz(phi).entry(q, p)
+from .symbols import Symbol
 
 
 def dual_bh_residual_column(T: OperatorSpec, i: int, p) -> dict:
-    """Exact column of the i-th dual Brown-Halmos residual.
+    """Exact column of the i-th dual Brown-Halmos residual at non-analytic p.
 
     The distinguished tuple is (DT_{conj s_1}, ..., DT_{conj s_{d-1}},
-    DT_{conj p}); its adjoints are the dual operators with conjugated
-    symbols, so for 1 <= i <= d-1 the residual is
-    DT_{conj s_i}^* T DT_{conj p} - T DT_{conj s_{d-i}} and for i = d it
-    is DT_{conj p}^* T DT_{conj p} - T.  All shifts stay non-analytic.
+    DT_{conj p}); see bh_residual_column, which serves both sides.
     """
-    d = T.d
-    if not 1 <= i <= d:
-        raise DomainError(f"residual index must satisfy 1 <= i <= d, got {i}")
     p = p if isinstance(p, Partition) else Partition(p)
-    down = DualToeplitz(elementary(d, d).conjugate())
-    if i == d:
-        left = DualToeplitz(elementary(d, d))
-        first = left.apply(T.apply(down.apply({p: ONE})))
-        return vec_sub(first, T.column(p))
-    left = DualToeplitz(elementary(d, i))
-    right = DualToeplitz(elementary(d, d - i).conjugate())
-    first = left.apply(T.apply(down.apply({p: ONE})))
-    second = T.apply(right.apply({p: ONE}))
-    return vec_sub(first, second)
+    if p.is_analytic:
+        raise DomainError("dual residuals need a non-analytic column")
+    return bh_residual_column(T, i, p)
 
 
 def dual_bh_residuals(T: OperatorSpec, window: Window) -> list[MatrixWindow]:
     """All d dual residual matrices on a non-analytic window (exact)."""
-    if window.d != T.d:
-        raise DomainError("window dimension does not match operator")
-    for p in window:
-        if p.is_analytic:
-            raise DomainError("dual residuals need a non-analytic window")
-    out = []
-    for i in range(1, T.d + 1):
-        columns = {p: dual_bh_residual_column(T, i, p) for p in window}
-        out.append(matrix_from_columns(columns, window, window))
-    return out
+    if any(p.is_analytic for p in window):
+        raise DomainError("dual residuals need a non-analytic window")
+    return bh_residuals(T, window)
 
 
 @dataclass

@@ -16,11 +16,9 @@ import scipy.linalg
 
 from .errors import DegeneracyError, DomainError
 from .operators import Laurent, Toeplitz
-from .partitions import Window, regrade, shift_diag
-from .scalars import ComplexRational
+from .partitions import Window, regrade, shift
+from .scalars import ONE
 from .symbols import Symbol, elementary
-
-ONE = ComplexRational(1)
 
 
 def _opnorm(a) -> float:
@@ -484,7 +482,7 @@ def minimal_extension_verify(phi: Symbol, window: Window) -> ExtensionReport:
     witness = None
     for p in window:
         r, base = regrade(p)
-        if not base.is_analytic or shift_diag(base, r) != p:
+        if not base.is_analytic or shift(base, r) != p:
             witness = tuple(p)
             break
         if r < 0:

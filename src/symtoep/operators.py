@@ -18,9 +18,8 @@ used for an exactness verdict.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,12 +29,11 @@ from .partitions import (
     Window,
     analytic_window,
     antisymmetrize,
+    shift,
     signed_index_permutations,
 )
-from .scalars import ComplexRational
+from .scalars import ONE, ComplexRational
 from .symbols import Symbol, elementary, multiply
-
-ONE = ComplexRational(1)
 
 
 def _as_partition(p) -> Partition:
@@ -44,23 +42,15 @@ def _as_partition(p) -> Partition:
 
 # -- exact sparse vectors (Partition -> ComplexRational) -------------------
 
-def vec_sub(a: dict, b: dict) -> dict:
+def vec_combine(a: dict, b: dict, sign: int) -> dict:
+    """Exact a + b (sign = 1) or a - b (sign = -1), dropping cancelled entries."""
     out = dict(a)
     for k, v in b.items():
         cur = out.get(k)
-        nv = -v if cur is None else cur - v
-        if nv:
-            out[k] = nv
-        elif cur is not None:
-            del out[k]
-    return out
-
-
-def vec_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        nv = v if cur is None else cur + v
+        if cur is None:
+            nv = v if sign > 0 else -v
+        else:
+            nv = cur + v if sign > 0 else cur - v
         if nv:
             out[k] = nv
         elif cur is not None:
@@ -218,8 +208,7 @@ class ShiftY(OperatorSpec):
         return p.is_analytic
 
     def shifted(self, p: Partition) -> Partition:
-        # strictness survives: entries rise by 1 only on a prefix
-        return Partition._unsafe(tuple(x + s for x, s in zip(p, self.step)))
+        return shift(p, 1, self.j)
 
     def entry(self, q, p) -> ComplexRational:
         q = _as_partition(q)
@@ -315,7 +304,7 @@ class OpSum(OperatorSpec):
     def apply(self, vec: dict) -> dict:
         out: dict = {}
         for op in self.ops:
-            out = vec_add(out, op.apply(vec))
+            out = vec_combine(out, op.apply(vec), 1)
         return out
 
     def __repr__(self):
@@ -385,43 +374,15 @@ class MatrixWindow:
         }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SYMTOEP_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def assemble(op: OperatorSpec, rows: Window, cols: Window) -> MatrixWindow:
-    """Exact window matrix of op, assembled column by column.
-
-    SYMTOEP_THREADS > 1 spreads column computation over a thread pool;
-    output is deterministic either way.
-    """
+    """Exact window matrix of op, assembled column by column."""
     if rows.d != op.d or cols.d != op.d:
         raise DomainError("window dimension does not match operator")
     for q in rows:
         op._check_row(q)
     for p in cols:
         op._check_col(p)
-    workers = _worker_count()
-    members = cols.members
-    if workers > 1 and len(members) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(op.column, members))
-    else:
-        columns = [op.column(p) for p in members]
-    entries = {}
-    rowpos = rows.position
-    for j, col in enumerate(columns):
-        for q, v in col.items():
-            i = rowpos.get(q)
-            if i is not None and v:
-                entries[(i, j)] = v
-    return MatrixWindow(rows, cols, entries, exact=True)
+    return matrix_from_columns({p: op.column(p) for p in cols}, rows, cols)
 
 
 def matrix_from_columns(columns: dict, rows: Window, cols: Window) -> MatrixWindow:
@@ -434,61 +395,75 @@ def matrix_from_columns(columns: dict, rows: Window, cols: Window) -> MatrixWind
             i = rowpos.get(q)
             if i is not None and v:
                 entries[(i, j)] = v
-    return MatrixWindow(rows, cols, entries, exact=True)
+    return MatrixWindow(rows, cols, entries)
 
 
 # -- Brown-Halmos residuals ---------------------------------------------------
 
 
-def _coordinate_ops(d: int):
-    """(T_{s_i})_{i=1..d}, the last being T_p."""
-    return [Toeplitz(elementary(d, i)) for i in range(1, d + 1)]
+@lru_cache(maxsize=None)
+def _coordinate_symbols(d: int) -> tuple[tuple[Symbol, ...], tuple[Symbol, ...]]:
+    # one (s_i, conj s_i) set per d: symbols are never mutated, and sharing
+    # them shares their cached lattice terms across residual calls
+    s = tuple(elementary(d, i) for i in range(1, d + 1))
+    return s, tuple(x.conjugate() for x in s)
+
+
+def _distinguished(d: int, analytic: bool) -> tuple[list, list]:
+    """The distinguished tuple (Z_1, ..., Z_d) of one side, and its adjoints.
+
+    Analytic side: Z_i = T_{s_i} with adjoint T_{conj s_i}.  Non-analytic
+    side: Z_i = DT_{conj s_i} with adjoint DT_{s_i}.  Z_d moves every index
+    along the diagonal, up on the analytic side and down on the other.
+    """
+    s, s_bar = _coordinate_symbols(d)
+    kind, z, z_adj = (Toeplitz, s, s_bar) if analytic else (DualToeplitz, s_bar, s)
+    return [kind(x) for x in z], [kind(x) for x in z_adj]
 
 
 def bh_residual_column(T: OperatorSpec, i: int, p) -> dict:
     """Exact column at p of the i-th Brown-Halmos residual of T.
 
-    For 1 <= i <= d-1 the residual is T_{s_i}^* T T_p - T T_{s_{d-i}};
-    for i = d it is T_p^* T T_p - T.  Adjoints of the coordinate
-    multipliers are Toeplitz operators with conjugated symbols, so every
-    factor acts as an exact column map.
+    The side of the model is that of p.  With that side's distinguished
+    tuple Z, the residual is Z_i^* T Z_d - T Z_{d-i} for 1 <= i <= d-1 and
+    Z_d^* T Z_d - T for i = d: the Toeplitz relations on the analytic
+    side, the dual Toeplitz relations on the non-analytic complement.
+    Z_d e_p is one diagonally shifted basis vector, and every other factor
+    acts as an exact column map.
     """
     d = T.d
     if not 1 <= i <= d:
         raise DomainError(f"residual index must satisfy 1 <= i <= d, got {i}")
     p = _as_partition(p)
-    tp = Toeplitz(elementary(d, d))
-    if i == d:
-        left = Toeplitz(elementary(d, d).conjugate())
-        first = left.apply(T.apply(tp.apply({p: ONE})))
-        return vec_sub(first, T.column(p))
-    left = Toeplitz(elementary(d, i).conjugate())
-    right = Toeplitz(elementary(d, d - i))
-    first = left.apply(T.apply(tp.apply({p: ONE})))
-    second = T.apply(right.apply({p: ONE}))
-    return vec_sub(first, second)
+    z, z_adj = _distinguished(d, p.is_analytic)
+    first = z_adj[i - 1].apply(T.column(shift(p, 1 if p.is_analytic else -1)))
+    second = T.column(p) if i == d else T.apply(z[d - i - 1].column(p))
+    return vec_combine(first, second, -1)
 
 
 def bh_residual_entry(T: OperatorSpec, i: int, q, p) -> ComplexRational:
     """Residual entry by direct inner-product expansion on shifted indices.
 
-    Independent of the column route; uses only T.entry.
+    Independent of the column route; uses only T.entry, through
+    <Z_i^* T Z_d e_p, e_q> = <T Z_d e_p, Z_i e_q>.
     """
     d = T.d
+    if not 1 <= i <= d:
+        raise DomainError(f"residual index must satisfy 1 <= i <= d, got {i}")
     q = _as_partition(q)
     p = _as_partition(p)
-    tp = Toeplitz(elementary(d, d))
-    p1 = next(iter(tp.apply({p: ONE})))
+    if q.is_analytic != p.is_analytic:
+        raise DomainError("residual entries need q and p on one side")
+    step = 1 if p.is_analytic else -1
+    p1 = shift(p, step)
     if i == d:
-        q1 = next(iter(tp.apply({q: ONE})))
-        return T.entry(q1, p1) - T.entry(q, p)
-    si = Toeplitz(elementary(d, i))
-    sdi = Toeplitz(elementary(d, d - i))
+        return T.entry(shift(q, step), p1) - T.entry(q, p)
+    z, _ = _distinguished(d, p.is_analytic)
     total = ComplexRational(0)
-    for r, c in si.apply({q: ONE}).items():
+    for r, c in z[i - 1].column(q).items():
         # coefficients are +-1, so conjugation is the identity
         total = total + c * T.entry(r, p1)
-    for t, c in sdi.apply({p: ONE}).items():
+    for t, c in z[d - i - 1].column(p).items():
         total = total - c * T.entry(q, t)
     return total
 
@@ -496,20 +471,19 @@ def bh_residual_entry(T: OperatorSpec, i: int, q, p) -> ComplexRational:
 def bh_residuals(T: OperatorSpec, window: Window) -> list[MatrixWindow]:
     """All d residual matrices of T on the window (exact).
 
-    Zero residuals characterize Toeplitz operators; the returned list
-    holds the coordinate relations i = 1..d-1 followed by the top-degree
-    relation.
+    The window lies on one side of the model.  Zero residuals
+    characterize Toeplitz operators on an analytic window and dual
+    Toeplitz operators on a non-analytic one; the returned list holds the
+    coordinate relations i = 1..d-1 followed by the top-degree relation.
     """
     if window.d != T.d:
         raise DomainError("window dimension does not match operator")
-    for p in window:
-        if not p.is_analytic:
-            raise DomainError("Brown-Halmos residuals need an analytic window")
-    out = []
-    for i in range(1, T.d + 1):
-        columns = {p: bh_residual_column(T, i, p) for p in window}
-        out.append(matrix_from_columns(columns, window, window))
-    return out
+    if len({p.is_analytic for p in window}) > 1:
+        raise DomainError("Brown-Halmos residuals need a window on one side of the model")
+    return [
+        matrix_from_columns({p: bh_residual_column(T, i, p) for p in window}, window, window)
+        for i in range(1, T.d + 1)
+    ]
 
 
 # -- symbol recovery ---------------------------------------------------------
@@ -647,7 +621,7 @@ def product_defect(phi: Symbol, psi: Symbol, window: Window) -> MatrixWindow:
     entries = {}
     rowpos = window.position
     for j, p in enumerate(window.members):
-        col = vec_sub(t_phi.apply(t_psi.column(p)), t_prod.column(p))
+        col = vec_combine(t_phi.apply(t_psi.column(p)), t_prod.column(p), -1)
         hp = h_psi.column(p)
         for q in window.members:
             hq = hank_rows[q]
@@ -663,7 +637,7 @@ def product_defect(phi: Symbol, psi: Symbol, window: Window) -> MatrixWindow:
             val = col.get(q, ComplexRational(0)) + pairing
             if val:
                 entries[(rowpos[q], j)] = val
-    return MatrixWindow(window, window, entries, exact=True)
+    return MatrixWindow(window, window, entries)
 
 
 # -- analyticity classification ----------------------------------------------
@@ -720,10 +694,10 @@ def classify_analytic(phi: Symbol, window: Window) -> ClassifyReport:
     t_phi = Toeplitz(phi)
     names = [f"s_{i}" for i in range(1, d)] + ["p"]
     checks = []
-    for name, other in zip(names, _coordinate_ops(d)):
+    for name, other in zip(names, _distinguished(d, True)[0]):
         witness = None
         for p in window:
-            col = vec_sub(t_phi.apply(other.column(p)), other.apply(t_phi.column(p)))
+            col = vec_combine(t_phi.apply(other.column(p)), other.apply(t_phi.column(p)), -1)
             if col:
                 q = sorted(col)[0]
                 witness = (q, p, col[q])

@@ -85,15 +85,23 @@ def signed_index_permutations(d: int) -> tuple[tuple[tuple[int, ...], int], ...]
     return tuple(out)
 
 
-def shift_diag(p: Partition, r: int) -> Partition:
-    """Add r to every entry (multiplication by the r-th power of the top degree)."""
-    return Partition._unsafe(tuple(x + r for x in p))
+def shift(p: Partition, j: int, a: Optional[int] = None) -> Partition:
+    """p + j*f_a, where f_a = (1,...,1,0,...,0) has a ones (default a = d).
+
+    The diagonal step f_d is multiplication by the j-th power of the top
+    degree.  Raising a prefix keeps the entries strictly decreasing; a
+    negative j on a proper prefix is validated and may raise DomainError.
+    """
+    d = len(p)
+    a = d if a is None else a
+    moved = tuple(x + j for x in p[:a]) + p[a:]
+    return Partition._unsafe(moved) if j >= 0 or a == d else Partition(moved)
 
 
 def regrade(p: Partition) -> tuple[int, Partition]:
     """Split p as (r, base) with base = p - r*(1,...,1) ending in 0."""
     r = p[-1]
-    return r, shift_diag(p, -r)
+    return r, shift(p, -r)
 
 
 class Window:

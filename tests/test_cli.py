@@ -158,6 +158,50 @@ def test_verify_missing_inputs(capsys):
     code, _, err = run_main(
         ["verify", "--suite", "brown-halmos", "--operator", "shiftY1"], capsys)
     assert code == 2
+    # Y_d is not one of the shifts Y_1..Y_{d-1}
+    code, _, err = run_main(
+        ["verify", "--suite", "brown-halmos", "--operator", "shiftY2",
+         "--d", "2"], capsys)
+    assert code == 2
+    assert "shift index" in err
+
+
+def test_verify_empty_window_is_not_a_pass(capsys):
+    base = ["verify", "--suite", "brown-halmos", "--operator", "shiftY1",
+            "--d", "2", "--maxtop"]
+    code, out, err = run_main(base + ["0"], capsys)
+    assert (code, out) == (3, "")
+    assert "domain error" in err
+    code, out, err = run_main(base + ["-1"], capsys)
+    assert (code, out) == (2, "")
+    assert "--maxtop" in err
+
+
+def test_matrix_negative_maxtop_is_input_error(s1_file, capsys):
+    code, out, err = run_main(
+        ["matrix", "--kind", "toeplitz", "--symbol", s1_file,
+         "--d", "2", "--maxtop", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert "--maxtop" in err
+
+
+def test_verify_decay_passes_seed(selfadj_file, capsys, monkeypatch):
+    import symtoep.cli as cli
+
+    seen = []
+    real = cli.commutator_decay
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("seed"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "commutator_decay", spy)
+    code, out, _ = run_main(
+        ["verify", "--suite", "decay", "--symbol", selfadj_file,
+         "--seed", "7"], capsys)
+    assert code == 0
+    assert seen == [7]
+    assert json.loads(out)["config"]["seed"] == 7
 
 
 def test_gamma_member_boundary_point(capsys):
@@ -178,6 +222,10 @@ def test_gamma_member_rejects_garbage(capsys):
     code, _, err = run_main(
         ["gamma", "member", "--point", "zebra,1"], capsys)
     assert code == 2
+    for point in ("nan,0", "1e400,0", "0,inf"):
+        code, out, err = run_main(["gamma", "member", "--point", point], capsys)
+        assert (code, out) == (2, ""), point
+        assert "not finite" in err
 
 
 def test_gamma_check_unitary_cli(unitary_tuple_file, tmp_path, capsys):

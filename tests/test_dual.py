@@ -14,7 +14,6 @@ from symtoep import (
     analytic_window,
     block_decomposition_check,
     dual_bh_residuals,
-    dual_entry,
     dual_window,
     elementary,
     enumerate_window,
@@ -32,15 +31,6 @@ def test_dual_battery_residuals_vanish(d, top):
         for res in residuals:
             assert res.exact
             assert res.is_zero(), (phi, res.nonzero_witnesses(1))
-
-
-def test_dual_entry_matches_operator():
-    phi = elementary(2, 1) * elementary(2, 2).conjugate()
-    op = DualToeplitz(phi)
-    window = dual_window(2, 3, -3)
-    for q in window:
-        for p in window:
-            assert dual_entry(phi, q, p) == op.entry(q, p)
 
 
 def test_conjugate_product_shift_moves_down_the_diagonal():

@@ -27,7 +27,6 @@ from symtoep import (
     Toeplitz,
     analytic_window,
     assemble,
-    dual_window,
     elementary,
     enumerate_window,
     unit,
@@ -243,15 +242,6 @@ def test_assemble_rejects_out_of_domain_windows():
         assemble(Toeplitz(phi), full, full)
     with pytest.raises(DomainError):
         assemble(DualToeplitz(phi), analytic_window(2, 2), analytic_window(2, 2))
-
-
-def test_assemble_threaded_matches_serial(monkeypatch):
-    phi = elementary(2, 1) * elementary(2, 2).conjugate()
-    win = dual_window(2, 3, -3)
-    serial = assemble(DualToeplitz(phi), win, win)
-    monkeypatch.setenv("SYMTOEP_THREADS", "4")
-    threaded = assemble(DualToeplitz(phi), win, win)
-    assert serial.entries == threaded.entries
 
 
 def test_nonzero_witnesses_ordering():

@@ -14,7 +14,7 @@ from symtoep import (
     enumerate_window,
     orbit_permutations,
     regrade,
-    shift_diag,
+    shift,
 )
 
 
@@ -121,11 +121,11 @@ def test_empty_windows():
 
 def test_shift_and_regrade_round_trip():
     p = Partition((3, 1))
-    assert shift_diag(p, 2) == Partition((5, 3))
-    assert shift_diag(p, -1) == Partition((2, 0))
+    assert shift(p, 2) == Partition((5, 3))
+    assert shift(p, -1) == Partition((2, 0))
     r, base = regrade(Partition((3, 1)))
     assert (r, tuple(base)) == (1, (2, 0))
-    assert shift_diag(base, r) == p
+    assert shift(base, r) == p
     rng = random.Random(5)
     for _ in range(100):
         d = rng.choice([2, 3])
@@ -133,7 +133,16 @@ def test_shift_and_regrade_round_trip():
         q = Partition(tuple(vals))
         r, base = regrade(q)
         assert base[-1] == 0
-        assert shift_diag(base, r) == q
+        assert shift(base, r) == q
+
+
+def test_shift_along_prefix():
+    p = Partition((5, 3, 0))
+    assert shift(p, 2, 1) == Partition((7, 3, 0))
+    assert shift(p, -1, 2) == Partition((4, 2, 0))
+    assert shift(p, 1, 3) == shift(p, 1) == Partition((6, 4, 1))
+    with pytest.raises(ValueError):
+        shift(Partition((3, 1, 0)), -1, 2)  # (2, 0, 0) repeats an entry
 
 
 def test_window_json_shape():
