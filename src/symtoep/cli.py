@@ -12,8 +12,10 @@ Three subcommands:
   data: point membership, gamma-unitary and gamma-isometry checkers, and
   the S-Toeplitz equation solver.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 domain
-error.  Output is deterministic for a fixed configuration and seed.
+Exit codes: 0 success, 1 verification failure, 2 input error (a
+non-finite tuple entry is one), 3 domain error, 4 internal error (any
+other exception).  Output is deterministic for a fixed configuration and
+seed.
 """
 
 from __future__ import annotations
@@ -533,6 +535,10 @@ def main(argv=None) -> int:
     except (DomainError, MarginError, DegeneracyError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # exit 1 means a verification failure, never a crash
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

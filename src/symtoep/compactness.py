@@ -13,16 +13,16 @@ import numpy as np
 
 from .errors import DomainError, MarginError
 from .operators import (
+    Commutator,
     FiniteRank,
     MatrixWindow,
     OperatorSpec,
     OpSum,
     Toeplitz,
-    bh_residual_column,
+    assemble,
+    bh_residual_matrix,
     bh_residuals,
-    matrix_from_columns,
     norm_estimate,
-    vec_combine,
 )
 from .partitions import Partition, Window, shift
 from .scalars import ONE
@@ -59,26 +59,18 @@ def eta(T: OperatorSpec, j: int, window: Window,
         iterations: int = 100, seed: int = 42) -> EtaReport:
     """Conjugated block matrix (Z_a^{*j} T Z_b^j)_{a,b} on the window.
 
-    Z_a is the a-th basis shift for a < d and T_p for a = d, so every
-    block entry is an exact entry of T at diagonally shifted indices:
-    block (a,b) at (q,p) equals entry(T, q + j f_a, p + j f_b).
+    Z_a is the a-th basis shift for a < d and T_p for a = d, so block
+    (a,b) at (q,p) is the exact entry of T at (q + j f_a, p + j f_b): T
+    assembled on the shifted windows, read at the unshifted positions.
     """
     if j < 0:
         raise DomainError("eta exponent must be >= 0")
     if window.d != T.d:
         raise DomainError("window dimension mismatch")
     d = T.d
-    blocks = {}
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            entries = {}
-            for jj, p in enumerate(window.members):
-                ps = shift(p, j, b)
-                for ii, q in enumerate(window.members):
-                    v = T.entry(shift(q, j, a), ps)
-                    if v:
-                        entries[(ii, jj)] = v
-            blocks[(a, b)] = MatrixWindow(window, window, entries)
+    moved = {a: window.shifted(j, a) for a in range(1, d + 1)}
+    blocks = {(a, b): MatrixWindow(window, window, assemble(T, moved[a], moved[b]).entries)
+              for a in moved for b in moved}
     report = EtaReport(j, blocks, 0.0)
     report.block_norm = norm_estimate(report.stacked_dense(), iterations, seed)
     return report
@@ -126,17 +118,10 @@ def finite_rank_truncation(T: OperatorSpec, l: int, window: Window) -> MatrixWin
             f"window does not contain the level-{l} truncation support; "
             "increase maxTop"
         )
-    entries = {}
-    for j, p in enumerate(window.members):
-        if p in support:
-            continue
-        for i, q in enumerate(window.members):
-            if q in support:
-                continue
-            v = T.entry(q, p)
-            if v:
-                entries[(i, j)] = v
-    return MatrixWindow(window, window, entries)
+    inside = [p in support for p in window.members]
+    m = assemble(T, window, window)
+    return MatrixWindow(window, window, {(i, j): v for (i, j), v in m.entries.items()
+                                         if not inside[i] and not inside[j]})
 
 
 @dataclass
@@ -164,9 +149,9 @@ def commutator_decay(T: OperatorSpec, i: int, n_max: int, window: Window,
                      iterations: int = 100, seed: int = 42) -> DecayReport:
     """Norms of T_p^{*n} [T, T_{s_i}] T_p^n on the window for n = 0..n_max.
 
-    The conjugated entry at (q, p) is the exact commutator entry at the
-    diagonally shifted pair (q + n, p + n); the report also carries the
-    exact i-th Brown-Halmos residual of T on the window.
+    The conjugated entry at (q, p) is the exact commutator entry at
+    (q + n, p + n), read off the commutator assembled on the shifted
+    window; the report also carries the exact i-th Brown-Halmos residual.
     """
     d = T.d
     if not 1 <= i <= d - 1:
@@ -175,22 +160,11 @@ def commutator_decay(T: OperatorSpec, i: int, n_max: int, window: Window,
         raise DomainError("n_max must be >= 0")
     if window.d != d:
         raise DomainError("window dimension mismatch")
-    si = Toeplitz(elementary(d, i))
-    norms = []
-    mats = []
-    for n in range(n_max + 1):
-        columns = {}
-        for p in window.members:
-            x = shift(p, n)
-            col = vec_combine(T.apply(si.column(x)), si.apply(T.column(x)), -1)
-            # pull the shifted support back onto the window rows
-            columns[p] = {shift(r, -n): v for r, v in col.items() if r[-1] >= n}
-        m = matrix_from_columns(columns, window, window)
-        mats.append(m)
-        norms.append(norm_estimate(m, iterations, seed))
-    residual_cols = {p: bh_residual_column(T, i, p) for p in window.members}
-    residual = matrix_from_columns(residual_cols, window, window)
-    return DecayReport(i, norms, mats, residual)
+    commutator = Commutator(T, Toeplitz(elementary(d, i)))
+    mats = [MatrixWindow(window, window, assemble(commutator, w, w).entries)
+            for w in (window.shifted(n) for n in range(n_max + 1))]
+    norms = [norm_estimate(m, iterations, seed) for m in mats]
+    return DecayReport(i, norms, mats, bh_residual_matrix(T, i, window))
 
 
 @dataclass

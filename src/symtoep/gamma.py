@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegeneracyError, DomainError
-from .operators import Laurent, Toeplitz
+from .operators import Commutator, Laurent, Toeplitz
 from .partitions import Window, regrade, shift
 from .scalars import ONE
 from .symbols import Symbol, elementary
@@ -99,6 +99,8 @@ class GammaTuple:
         if self.d < 2:
             raise DomainError("gamma tuples need d >= 2")
         mats = tuple(np.asarray(m, dtype=complex) for m in self.mats)
+        if not all(np.isfinite(m).all() for m in mats):
+            raise DomainError("gamma tuple entries must be finite")
         if len(mats) != self.d:
             raise DomainError(f"expected {self.d} matrices, got {len(mats)}")
         shape = mats[0].shape
@@ -450,19 +452,10 @@ def minimal_extension_verify(phi: Symbol, window: Window) -> ExtensionReport:
     checks = []
 
     ls = [Laurent(elementary(d, i)) for i in range(1, d + 1)]
-    witness = None
-    for a in range(d):
-        for b in range(a + 1, d):
-            for p in window:
-                left = ls[a].apply(ls[b].column(p))
-                right = ls[b].apply(ls[a].column(p))
-                if left != right:
-                    witness = (f"s_{a + 1}", f"s_{b + 1}", tuple(p))
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    commutators = [(a, b, Commutator(ls[a], ls[b]))
+                   for a, b in itertools.combinations(range(d), 2)]
+    witness = next(((f"s_{a + 1}", f"s_{b + 1}", tuple(p)) for a, b, c in commutators
+                    for p in window if c.column(p)), None)
     checks.append(("laurent-coordinates-commute", witness is None, witness))
 
     lphi = Laurent(phi)

@@ -58,10 +58,6 @@ def vec_combine(a: dict, b: dict, sign: int) -> dict:
     return out
 
 
-def vec_is_zero(v: dict) -> bool:
-    return not any(v.values())
-
-
 # -- operator kinds ---------------------------------------------------------
 
 
@@ -311,6 +307,27 @@ class OpSum(OperatorSpec):
         return f"OpSum({list(self.ops)!r})"
 
 
+class Commutator(OperatorSpec):
+    """[A, B] = AB - BA, composed from the exact column maps of A and B."""
+
+    def __init__(self, a: OperatorSpec, b: OperatorSpec):
+        if a.d != b.d:
+            raise DomainError("commutator dimension mismatch")
+        self.d = a.d
+        self.a = a
+        self.b = b
+
+    def accepts_row(self, q: Partition) -> bool:
+        return self.a.accepts_row(q) and self.b.accepts_row(q)
+
+    def accepts_col(self, p: Partition) -> bool:
+        return self.a.accepts_col(p) and self.b.accepts_col(p)
+
+    def apply(self, vec: dict) -> dict:
+        a, b = self.a, self.b
+        return vec_combine(a.apply(b.apply(vec)), b.apply(a.apply(vec)), -1)
+
+
 # -- assembled finite matrices ----------------------------------------------
 
 
@@ -480,10 +497,23 @@ def bh_residuals(T: OperatorSpec, window: Window) -> list[MatrixWindow]:
         raise DomainError("window dimension does not match operator")
     if len({p.is_analytic for p in window}) > 1:
         raise DomainError("Brown-Halmos residuals need a window on one side of the model")
-    return [
-        matrix_from_columns({p: bh_residual_column(T, i, p) for p in window}, window, window)
-        for i in range(1, T.d + 1)
-    ]
+    return [bh_residual_matrix(T, i, window) for i in range(1, T.d + 1)]
+
+
+def bh_residual_matrix(T: OperatorSpec, i: int, window: Window) -> MatrixWindow:
+    """The i-th residual matrix of T on the window (exact).
+
+    Its rows widen to the columns' support when it vanishes on the window
+    alone, so that a thin window keeps the witness of a non-Toeplitz T.
+    """
+    columns = {p: bh_residual_column(T, i, p) for p in window}
+    m = matrix_from_columns(columns, window, window)
+    if m.is_zero() and any(columns.values()):
+        members = set(window).union(*columns.values())
+        rows = Window(window.d, max(q[0] for q in members), min(q[-1] for q in members),
+                      members)
+        m = matrix_from_columns(columns, rows, window)
+    return m
 
 
 # -- symbol recovery ---------------------------------------------------------
@@ -518,12 +548,10 @@ def recover_symbol(oracle, d: int, degree_bound: int, check: bool = True) -> Sym
     guard_window = analytic_window(d, degree_bound + d)
     if check:
         if is_spec:
-            for i in range(1, d + 1):
-                for p in guard_window:
-                    if not vec_is_zero(bh_residual_column(oracle, i, p)):
-                        raise NotToeplitzError(
-                            f"Brown-Halmos residual {i} nonzero at column {tuple(p)}"
-                        )
+            for i, res in enumerate(bh_residuals(oracle, guard_window), start=1):
+                for q, p, _ in res.nonzero_witnesses(1):
+                    raise NotToeplitzError(
+                        f"Brown-Halmos residual {i} nonzero at ({tuple(q)}, {tuple(p)})")
         else:
             probe_T = _CallableEntries(d, entry_fn)
             for i in range(1, d + 1):
@@ -561,6 +589,7 @@ def recover_symbol(oracle, d: int, degree_bound: int, check: bool = True) -> Sym
     if check:
         model = Toeplitz(recovered)
         for p in guard_window:
+            expected = model.column(p)
             for q in guard_window:
                 try:
                     got = entry_fn(q, p)
@@ -568,7 +597,7 @@ def recover_symbol(oracle, d: int, degree_bound: int, check: bool = True) -> Sym
                     raise MarginError(
                         "oracle cannot serve the verification window"
                     ) from exc
-                if got != model.entry(q, p):
+                if got != expected.get(q, ComplexRational(0)):
                     raise NotToeplitzError(
                         f"oracle disagrees with recovered symbol at ({tuple(q)}, {tuple(p)}); "
                         "not a Toeplitz operator within the degree bound"
@@ -617,27 +646,19 @@ def product_defect(phi: Symbol, psi: Symbol, window: Window) -> MatrixWindow:
     h_psi = Hankel(psi)
     h_phibar = Hankel(phi.conjugate())
 
-    hank_rows = {q: h_phibar.column(q) for q in window}
-    entries = {}
-    rowpos = window.position
-    for j, p in enumerate(window.members):
+    # row r of H_{conj phi}^* on the window: the transposed, conjugated columns
+    adjoint_rows: dict = {}
+    for q in window:
+        for r, v in h_phibar.column(q).items():
+            adjoint_rows.setdefault(r, {})[q] = v.conjugate()
+    columns = {}
+    for p in window:
         col = vec_combine(t_phi.apply(t_psi.column(p)), t_prod.column(p), -1)
-        hp = h_psi.column(p)
-        for q in window.members:
-            hq = hank_rows[q]
-            small, big = (hp, hq) if len(hp) <= len(hq) else (hq, hp)
-            pairing = ComplexRational(0)
-            for r, v in small.items():
-                w = big.get(r)
-                if w is not None:
-                    if small is hp:
-                        pairing = pairing + v * w.conjugate()
-                    else:
-                        pairing = pairing + w * v.conjugate()
-            val = col.get(q, ComplexRational(0)) + pairing
-            if val:
-                entries[(rowpos[q], j)] = val
-    return MatrixWindow(window, window, entries)
+        for r, v in h_psi.column(p).items():
+            for q, w in adjoint_rows.get(r, {}).items():
+                col[q] = col[q] + v * w if q in col else v * w
+        columns[p] = col
+    return matrix_from_columns(columns, window, window)
 
 
 # -- analyticity classification ----------------------------------------------
@@ -695,9 +716,10 @@ def classify_analytic(phi: Symbol, window: Window) -> ClassifyReport:
     names = [f"s_{i}" for i in range(1, d)] + ["p"]
     checks = []
     for name, other in zip(names, _distinguished(d, True)[0]):
+        commutator = Commutator(t_phi, other)
         witness = None
         for p in window:
-            col = vec_combine(t_phi.apply(other.column(p)), other.apply(t_phi.column(p)), -1)
+            col = commutator.column(p)
             if col:
                 q = sorted(col)[0]
                 witness = (q, p, col[q])
@@ -798,19 +820,10 @@ def lift_verify(phi: Symbol, windows, iterations: int = 200, seed: int = 42,
             raise DomainError("window has empty analytic part")
         lm = assemble(laurent_op, w, w)
         tm = assemble(toeplitz_op, wa, wa)
-        block_ok = True
-        for (i, j), v in lm.entries.items():
-            q = w.members[i]
-            p = w.members[j]
-            if q.is_analytic and p.is_analytic:
-                if tm.entry_at(q, p) != v:
-                    block_ok = False
-                    break
-        if block_ok:
-            for (i, j), v in tm.entries.items():
-                if lm.entry_at(wa.members[i], wa.members[j]) != v:
-                    block_ok = False
-                    break
+        block = {(w.members[i], w.members[j]): v for (i, j), v in lm.entries.items()
+                 if w.members[i].is_analytic and w.members[j].is_analytic}
+        block_ok = block == {(wa.members[i], wa.members[j]): v
+                             for (i, j), v in tm.entries.items()}
         rows.append(LiftRow(w.max_top, w.min_bottom,
                             norm_estimate(tm, iterations, seed),
                             norm_estimate(lm, iterations, seed),

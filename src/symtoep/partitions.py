@@ -138,6 +138,12 @@ class Window:
             f"min_bottom={self.min_bottom}, size={len(self.members)})"
         )
 
+    def shifted(self, j: int, a: Optional[int] = None) -> "Window":
+        """The window moved by j*f_a (see shift); each member keeps its position."""
+        a = self.d if a is None else a
+        return Window(self.d, self.max_top + j, self.min_bottom + (j if a == self.d else 0),
+                      [shift(p, j, a) for p in self.members])
+
     def analytic_part(self) -> "Window":
         return Window(self.d, self.max_top, self.min_bottom,
                       [p for p in self.members if p.is_analytic])

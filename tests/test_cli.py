@@ -107,10 +107,12 @@ def test_verify_brown_halmos_passes(selfadj_file, capsys):
     assert report["config"]["seed"] == 42
 
 
-def test_verify_shift_fails_with_witness(capsys):
+# --maxtop 1 leaves the window {(1,0)}, which holds no nonzero residual row
+@pytest.mark.parametrize("margin", [[], ["--maxtop", "1"]])
+def test_verify_shift_fails_with_witness(margin, capsys):
     code, out, _ = run_main(
         ["verify", "--suite", "brown-halmos", "--operator", "shiftY1",
-         "--d", "2"], capsys)
+         "--d", "2"] + margin, capsys)
     assert code == 1
     report = json.loads(out)
     assert report["verdict"] is False
@@ -242,6 +244,29 @@ def test_gamma_check_unitary_cli(unitary_tuple_file, tmp_path, capsys):
         ["gamma", "check-unitary", "--tuple", str(bad_path)], capsys)
     assert code == 1
     assert json.loads(out)["verdict"] is False
+
+
+_TUPLE_TEXT = ('{"d": 2, "mats": [[[[0, 0], [X, 0]], [[X, 0], [0, 0]]], '
+               '[[[X, 0], [0, 0]], [[0, 0], [X, 0]]]]}')
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("action", ["check-unitary", "check-isometry",
+                                    "solve-toeplitz"])
+@pytest.mark.parametrize("entry,code,message", [
+    ("NaN", 2, "error: "),
+    ("Infinity", 2, "error: "),
+    # finite, but the norms overflow: an unexpected exception, not a failure
+    ("1e308", 4, "internal error: "),
+])
+def test_gamma_tuple_bad_entries_exit_codes(action, entry, code, message,
+                                            tmp_path, capsys):
+    path = tmp_path / "tuple.json"
+    path.write_text(_TUPLE_TEXT.replace("X", entry))
+    got, out, err = run_main(["gamma", action, "--tuple", str(path)], capsys)
+    assert (got, out) == (code, "")
+    assert err.splitlines()[-1].startswith(message)
 
 
 def test_gamma_solve_toeplitz_cli(tmp_path, capsys):

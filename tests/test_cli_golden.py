@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of the Brown-Halmos suites, pinned to stored reports.
+"""Byte-for-byte stdout of the verify suites, pinned to stored reports.
 
 The reports in tests/golden fix every byte, config block included, so
 the symbol is passed by a relative path from a fresh working directory.
@@ -21,6 +21,11 @@ GOLDEN = Path(__file__).parent / "golden"
      ["verify", "--suite", "dual-brown-halmos", "--symbol", "phi.json"], 0),
     ("brown_halmos_shiftY1",
      ["verify", "--suite", "brown-halmos", "--operator", "shiftY1", "--d", "2"], 1),
+    ("analytic", ["verify", "--suite", "analytic", "--symbol", "phi.json"], 0),
+    ("defect", ["verify", "--suite", "defect", "--symbol", "phi.json"], 0),
+    ("block", ["verify", "--suite", "block", "--symbol", "phi.json"], 0),
+    ("eta", ["verify", "--suite", "eta", "--symbol", "phi.json"], 1),
+    ("decay", ["verify", "--suite", "decay", "--symbol", "phi.json"], 0),
 ])
 def test_verify_stdout_matches_golden(name, argv, code, tmp_path, monkeypatch, capsys):
     shutil.copy(GOLDEN / "phi.json", tmp_path / "phi.json")

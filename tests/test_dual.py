@@ -6,9 +6,11 @@ from symtoep import (
     ComplexRational,
     DomainError,
     DualToeplitz,
+    FiniteRank,
     Hankel,
     Laurent,
     MarginError,
+    OpSum,
     Partition,
     Toeplitz,
     analytic_window,
@@ -31,6 +33,18 @@ def test_dual_battery_residuals_vanish(d, top):
         for res in residuals:
             assert res.exact
             assert res.is_zero(), (phi, res.nonzero_witnesses(1))
+
+
+def test_thin_dual_window_keeps_the_witness():
+    """A residual row outside a one-member window still fails the check."""
+    phi = elementary(2, 1) + elementary(2, 1).conjugate()
+    bump = FiniteRank(2, [((1, -1), (0, -1), ComplexRational(1))])
+    window = dual_window(2, 0, -1)
+    assert [tuple(p) for p in window] == [(0, -1)]
+    residuals = dual_bh_residuals(OpSum([DualToeplitz(phi), bump]), window)
+    assert residuals[0].is_zero()
+    assert residuals[-1].nonzero_witnesses() == [
+        ((1, -1), (0, -1), ComplexRational(-1))]
 
 
 def test_conjugate_product_shift_moves_down_the_diagonal():
