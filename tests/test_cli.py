@@ -107,9 +107,7 @@ def test_verify_brown_halmos_passes(selfadj_file, capsys):
     assert report["config"]["seed"] == 42
 
 
-# --maxtop 1 leaves the window {(1,0)}, which holds no nonzero residual row
-@pytest.mark.parametrize("margin", [[], ["--maxtop", "1"]])
-def test_verify_shift_fails_with_witness(margin, capsys):
+def _assert_shift_fails_with_witness(margin, capsys):
     code, out, _ = run_main(
         ["verify", "--suite", "brown-halmos", "--operator", "shiftY1",
          "--d", "2"] + margin, capsys)
@@ -118,6 +116,15 @@ def test_verify_shift_fails_with_witness(margin, capsys):
     assert report["verdict"] is False
     first = report["witnesses"][0]
     assert (first["row"], first["col"]) == ([2, 1], [1, 0])
+
+
+def test_verify_shift_fails_with_witness(capsys):
+    _assert_shift_fails_with_witness([], capsys)
+
+
+# --maxtop 1 leaves the window {(1,0)}, which holds no nonzero residual row
+def test_verify_shift_fails_with_witness_on_thin_window(capsys):
+    _assert_shift_fails_with_witness(["--maxtop", "1"], capsys)
 
 
 @pytest.mark.parametrize("suite", ["analytic", "defect", "block",
