@@ -7,6 +7,7 @@ nullspaces.  Exact arithmetic lives in the operator modules.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -23,6 +24,16 @@ from .symbols import Symbol, elementary
 
 def _opnorm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
+
+
+@contextlib.contextmanager
+def _double_precision_range():
+    """Turn float overflow on finite tuple entries into a DomainError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError(f"tuple entries overflow double precision: {exc}") from exc
 
 
 # -- pointwise membership ----------------------------------------------------
@@ -260,6 +271,7 @@ def _joint_diagonalize(mats, tol: float, seed: int):
     return [tuple(complex(dk[k]) for dk in diags) for k in range(n)]
 
 
+@_double_precision_range()
 def check_gamma_unitary(t: GammaTuple, tol: float = 1e-8, seed: int = 42) -> GammaUnitaryReport:
     """Verify the algebraic and spectral characterization of a gamma-unitary tuple.
 
@@ -335,6 +347,7 @@ def _symmetrized_grid(dim: int, grid_size: int) -> list:
     return pts
 
 
+@_double_precision_range()
 def check_gamma_isometry(t: GammaTuple, tol: float = 1e-8, poly_degree: int = 3,
                          grid_size: int = 16) -> GammaIsometryReport:
     """Necessary checks for a gamma-isometry tuple (S_1, ..., S_{d-1}, V).
@@ -388,6 +401,7 @@ def check_gamma_isometry(t: GammaTuple, tol: float = 1e-8, poly_degree: int = 3,
 # -- S-Toeplitz solver ----------------------------------------------------------
 
 
+@_double_precision_range()
 def s_toeplitz_solve(t: GammaTuple, tol: float = 1e-9) -> list:
     """Orthonormal basis of {X : S_i^* X V = X S_{d-i} for all i, V^* X V = X}.
 
@@ -475,22 +489,13 @@ def minimal_extension_verify(phi: Symbol, window: Window) -> ExtensionReport:
     witness = None
     for p in window:
         r, base = regrade(p)
-        if not base.is_analytic or shift(base, r) != p:
+        # |r| diagonal shifts lead from the lower index to the upper one
+        low, high = (p, base) if r < 0 else (base, p)
+        vec = {low: ONE}
+        for _ in range(abs(r)):
+            vec = ld.apply(vec)
+        if not base.is_analytic or shift(base, r) != p or vec != {high: ONE}:
             witness = tuple(p)
             break
-        if r < 0:
-            vec = {p: ONE}
-            for _ in range(-r):
-                vec = ld.apply(vec)
-            if vec != {base: ONE}:
-                witness = tuple(p)
-                break
-        else:
-            vec = {base: ONE}
-            for _ in range(r):
-                vec = ld.apply(vec)
-            if vec != {p: ONE}:
-                witness = tuple(p)
-                break
     checks.append(("diagonal-shift-reachability", witness is None, witness))
     return ExtensionReport(checks)

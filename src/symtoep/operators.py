@@ -10,10 +10,11 @@ the point's orbit representative) and the sum runs over coordinate
 permutations of q.  Toeplitz, Laurent, Hankel and dual-Toeplitz kinds
 share this formula and differ only in their row/column index sets.
 
-Every operator kind here has exactly computable, finitely supported
-columns, so products such as the Brown-Halmos residuals are assembled
-by composing exact column maps; no truncated matrix product is ever
-used for an exactness verdict.
+Each operator kind defines only the exact, finitely supported image of
+a basis vector; OperatorSpec caches it as ``column`` and combines columns
+in ``apply``.  Products such as the Brown-Halmos residuals compose these
+exact column maps; no truncated matrix product is ever used for an
+exactness verdict.
 """
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ def vec_combine(a: dict, b: dict, sign: int) -> dict:
 
 
 class OperatorSpec:
-    """Base: exact entries and exact finitely-supported column maps."""
+    """Base: exact entries, and column/apply over each kind's basis image _image(p)."""
 
     d: int
 
@@ -75,7 +76,7 @@ class OperatorSpec:
     def entry(self, q, p) -> ComplexRational:
         raise NotImplementedError
 
-    def apply(self, vec: dict) -> dict:
+    def _image(self, p: Partition) -> dict:
         raise NotImplementedError
 
     def column(self, p) -> dict:
@@ -87,9 +88,20 @@ class OperatorSpec:
         p = _as_partition(p)
         col = cache.get(p)
         if col is None:
-            col = self.apply({p: ONE})
+            self._check_col(p)
+            col = self._image(p)
             cache[p] = col
         return col
+
+    def apply(self, vec: dict) -> dict:
+        """Exact image of a sparse vector: the combination of its columns."""
+        acc: dict = {}
+        for p, v in vec.items():
+            for q, c in self.column(p).items():
+                w = c * v
+                cur = acc.get(q)
+                acc[q] = w if cur is None else cur + w
+        return {k: v for k, v in acc.items() if v}
 
     def _check_row(self, q: Partition):
         if not self.accepts_row(q):
@@ -101,7 +113,7 @@ class OperatorSpec:
 
 
 class _SymbolOperator(OperatorSpec):
-    """Shared closed-form entry/apply for multiplication-type kinds."""
+    """Shared closed-form entry and basis image for multiplication-type kinds."""
 
     # subclasses set: _row_analytic / _col_analytic in {True, False, None}
     _row_analytic: bool | None = None
@@ -135,22 +147,18 @@ class _SymbolOperator(OperatorSpec):
                 total = total + c if sign > 0 else total - c
         return total
 
-    def apply(self, vec: dict) -> dict:
+    def _image(self, p: Partition) -> dict:
         keep = self._row_analytic
         acc: dict = {}
-        terms = self.symbol.lattice_terms()
-        for p, v in vec.items():
-            p = _as_partition(p)
-            self._check_col(p)
-            for point, c in terms:
-                sign, part = antisymmetrize(tuple(x + y for x, y in zip(p, point)))
-                if not sign:
-                    continue
-                if keep is not None and part.is_analytic != keep:
-                    continue
-                w = c * v if sign > 0 else -(c * v)
-                cur = acc.get(part)
-                acc[part] = w if cur is None else cur + w
+        for point, c in self.symbol.lattice_terms():
+            sign, part = antisymmetrize(tuple(x + y for x, y in zip(p, point)))
+            if not sign:
+                continue
+            if keep is not None and part.is_analytic != keep:
+                continue
+            w = c if sign > 0 else -c
+            cur = acc.get(part)
+            acc[part] = w if cur is None else cur + w
         return {k: v for k, v in acc.items() if v}
 
     def __repr__(self):
@@ -213,13 +221,8 @@ class ShiftY(OperatorSpec):
         self._check_col(p)
         return ComplexRational(1) if q == self.shifted(p) else ComplexRational(0)
 
-    def apply(self, vec: dict) -> dict:
-        out = {}
-        for p, v in vec.items():
-            p = _as_partition(p)
-            self._check_col(p)
-            out[self.shifted(p)] = v
-        return out
+    def _image(self, p: Partition) -> dict:
+        return {self.shifted(p): ONE}
 
     def __repr__(self):
         return f"ShiftY(d={self.d}, j={self.j})"
@@ -232,7 +235,7 @@ class FiniteRank(OperatorSpec):
         if d < 2:
             raise DomainError("operators need d >= 2")
         self.d = d
-        table: dict = {}
+        cols: dict = {}
         for q, p, c in terms:
             q = _as_partition(q)
             p = _as_partition(p)
@@ -240,13 +243,9 @@ class FiniteRank(OperatorSpec):
                 raise DomainError("finite-rank term dimension mismatch")
             if not isinstance(c, ComplexRational):
                 c = ComplexRational(c)
-            key = (q, p)
-            table[key] = table.get(key, ComplexRational(0)) + c
-        self.table = {k: v for k, v in table.items() if v}
-        cols: dict = {}
-        for (q, p), c in self.table.items():
-            cols.setdefault(p, {})[q] = c
-        self._cols = cols
+            col = cols.setdefault(p, {})
+            col[q] = col.get(q, ComplexRational(0)) + c
+        self._cols = {p: {q: c for q, c in col.items() if c} for p, col in cols.items()}
 
     def accepts_row(self, q: Partition) -> bool:
         return True
@@ -255,22 +254,15 @@ class FiniteRank(OperatorSpec):
         return True
 
     def entry(self, q, p) -> ComplexRational:
-        return self.table.get((_as_partition(q), _as_partition(p)), ComplexRational(0))
+        col = self._cols.get(_as_partition(p), {})
+        return col.get(_as_partition(q), ComplexRational(0))
 
-    def apply(self, vec: dict) -> dict:
-        acc: dict = {}
-        for p, v in vec.items():
-            col = self._cols.get(_as_partition(p))
-            if not col:
-                continue
-            for q, c in col.items():
-                w = c * v
-                cur = acc.get(q)
-                acc[q] = w if cur is None else cur + w
-        return {k: v for k, v in acc.items() if v}
+    def _image(self, p: Partition) -> dict:
+        return self._cols.get(p, {})
 
     def __repr__(self):
-        return f"FiniteRank(d={self.d}, terms={len(self.table)})"
+        terms = sum(len(col) for col in self._cols.values())
+        return f"FiniteRank(d={self.d}, terms={terms})"
 
 
 class OpSum(OperatorSpec):
@@ -297,10 +289,10 @@ class OpSum(OperatorSpec):
             total = total + op.entry(q, p)
         return total
 
-    def apply(self, vec: dict) -> dict:
+    def _image(self, p: Partition) -> dict:
         out: dict = {}
         for op in self.ops:
-            out = vec_combine(out, op.apply(vec), 1)
+            out = vec_combine(out, op.column(p), 1)
         return out
 
     def __repr__(self):
@@ -323,9 +315,9 @@ class Commutator(OperatorSpec):
     def accepts_col(self, p: Partition) -> bool:
         return self.a.accepts_col(p) and self.b.accepts_col(p)
 
-    def apply(self, vec: dict) -> dict:
+    def _image(self, p: Partition) -> dict:
         a, b = self.a, self.b
-        return vec_combine(a.apply(b.apply(vec)), b.apply(a.apply(vec)), -1)
+        return vec_combine(a.apply(b.column(p)), b.apply(a.column(p)), -1)
 
 
 # -- assembled finite matrices ----------------------------------------------
@@ -342,6 +334,11 @@ class MatrixWindow:
 
     def is_zero(self) -> bool:
         return not any(self.entries.values())
+
+    def keyed_entries(self) -> dict:
+        """The entries keyed by (row index, column index) partitions."""
+        rows, cols = self.rows.members, self.cols.members
+        return {(rows[i], cols[j]): v for (i, j), v in self.entries.items()}
 
     def entry_at(self, q, p) -> ComplexRational:
         i = self.rows.position[_as_partition(q)]
@@ -820,10 +817,9 @@ def lift_verify(phi: Symbol, windows, iterations: int = 200, seed: int = 42,
             raise DomainError("window has empty analytic part")
         lm = assemble(laurent_op, w, w)
         tm = assemble(toeplitz_op, wa, wa)
-        block = {(w.members[i], w.members[j]): v for (i, j), v in lm.entries.items()
-                 if w.members[i].is_analytic and w.members[j].is_analytic}
-        block_ok = block == {(wa.members[i], wa.members[j]): v
-                             for (i, j), v in tm.entries.items()}
+        block = {(q, p): v for (q, p), v in lm.keyed_entries().items()
+                 if q.is_analytic and p.is_analytic}
+        block_ok = block == tm.keyed_entries()
         rows.append(LiftRow(w.max_top, w.min_bottom,
                             norm_estimate(tm, iterations, seed),
                             norm_estimate(lm, iterations, seed),

@@ -264,8 +264,8 @@ _TUPLE_TEXT = ('{"d": 2, "mats": [[[[0, 0], [X, 0]], [[X, 0], [0, 0]]], '
 @pytest.mark.parametrize("entry,code,message", [
     ("NaN", 2, "error: "),
     ("Infinity", 2, "error: "),
-    # finite, but the norms overflow: an unexpected exception, not a failure
-    ("1e308", 4, "internal error: "),
+    # finite, but the norms overflow double precision: a domain error
+    ("1e308", 3, "domain error: "),
 ])
 def test_gamma_tuple_bad_entries_exit_codes(action, entry, code, message,
                                             tmp_path, capsys):

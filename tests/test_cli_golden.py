@@ -1,7 +1,8 @@
-"""Byte-for-byte stdout of the verify suites, pinned to stored reports.
+"""Byte-for-byte stdout of the verify suites and a gamma check, pinned to stored reports.
 
 The reports in tests/golden fix every byte, config block included, so
-the symbol is passed by a relative path from a fresh working directory.
+the symbol and tuple files are passed by relative paths from a fresh
+working directory.
 """
 
 import shutil
@@ -26,9 +27,12 @@ GOLDEN = Path(__file__).parent / "golden"
     ("block", ["verify", "--suite", "block", "--symbol", "phi.json"], 0),
     ("eta", ["verify", "--suite", "eta", "--symbol", "phi.json"], 1),
     ("decay", ["verify", "--suite", "decay", "--symbol", "phi.json"], 0),
+    ("lift", ["verify", "--suite", "lift", "--symbol", "phi.json"], 0),
+    ("gamma_check_unitary", ["gamma", "check-unitary", "--tuple", "tuple.json"], 0),
 ])
 def test_verify_stdout_matches_golden(name, argv, code, tmp_path, monkeypatch, capsys):
-    shutil.copy(GOLDEN / "phi.json", tmp_path / "phi.json")
+    for source in ("phi.json", "tuple.json"):
+        shutil.copy(GOLDEN / source, tmp_path / source)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

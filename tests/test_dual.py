@@ -20,6 +20,7 @@ from symtoep import (
     elementary,
     enumerate_window,
 )
+from symtoep import dual
 from conftest import symbol_battery
 
 
@@ -74,6 +75,25 @@ def test_block_decomposition_with_complex_coefficients():
         elementary(2, 2).conjugate().scaled(ComplexRational(0, 1))
     report = block_decomposition_check(phi, enumerate_window(2, 4, -4))
     assert report.passed
+
+
+@pytest.mark.parametrize("kind,block", [(Toeplitz, "toeplitz"), (DualToeplitz, "dual")])
+def test_block_decomposition_names_only_the_broken_block(kind, block, monkeypatch):
+    phi = elementary(2, 1).scaled(ComplexRational(1, 2)) + \
+        elementary(2, 2).conjugate().scaled(ComplexRational(0, 1))
+    window = enumerate_window(2, 4, -4)
+    monkeypatch.setattr(dual, kind.__name__, lambda symbol: kind(symbol.conjugate()))
+    report = block_decomposition_check(phi, window)
+    assert report.block_ok == {name: name != block for name in
+                               ("toeplitz", "hankel", "hankel-adjoint", "dual")}
+    # the entry route, row-major over the window, within the broken block
+    laurent, broken = Laurent(phi), kind(phi.conjugate())
+    side = block == "toeplitz"
+    want = [(block, q, p) for q in window for p in window
+            if q.is_analytic == p.is_analytic == side
+            and laurent.entry(q, p) != broken.entry(q, p)]
+    assert len(want) > 10
+    assert report.witnesses == want[:10]
 
 
 def test_block_decomposition_margin_guard():

@@ -1,5 +1,7 @@
 """Symmetrized-polydisk membership, tuple checkers, and the relation solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
@@ -220,3 +222,16 @@ def test_minimal_extension_verify(d):
     phi = elementary(d, 1)
     report = minimal_extension_verify(phi, analytic_window(d, 4))
     assert report.passed
+
+
+@pytest.mark.parametrize("check", [check_gamma_unitary, check_gamma_isometry,
+                                   s_toeplitz_solve])
+def test_float_overflow_is_a_domain_error(check):
+    big = np.full((2, 2), 1e308, dtype=complex)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        # an overflow must raise, not print a RuntimeWarning and go on
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflow"):
+            check(GammaTuple(2, (big, big)))
+    assert np.geterr() == before

@@ -4,7 +4,8 @@ Symbols are random Gaussian-integer combinations of orbit representatives
 of height <= 2 in d = 2 and 3.  The residual routine serves the analytic
 side (Toeplitz relations) and the non-analytic side (dual relations), so
 each residual property is checked on both.  The eta blocks and the
-finite-rank truncation are compared with the independent entry route.
+finite-rank truncation are compared with the independent entry route,
+and so is the column kernel that every operator kind shares.
 """
 
 from hypothesis import given, settings
@@ -14,24 +15,33 @@ from symtoep import (
     ComplexRational,
     DualToeplitz,
     FiniteRank,
+    Hankel,
+    Laurent,
     OpSum,
+    ShiftY,
     Symbol,
     Toeplitz,
     analytic_window,
     bh_residual_entry,
     bh_residuals,
     dual_window,
+    elementary,
+    enumerate_window,
     eta,
     finite_rank_truncation,
     product_defect,
     shift,
     truncation_support,
 )
+from symtoep.operators import Commutator
 
 HEIGHT = 2
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
 gaussian = st.builds(ComplexRational, st.integers(-3, 3), st.integers(-3, 3))
+rational = st.fractions(-3, 3, max_denominator=4)
+coefficients = st.builds(ComplexRational, rational, rational).filter(
+    lambda v: v and v != ComplexRational(1))
 
 
 @st.composite
@@ -115,3 +125,86 @@ def test_product_defect_vanishes(phi, data):
     window = analytic_window(phi.d, phi.height() + psi.height())
     defect = product_defect(phi, psi, window)
     assert defect.is_zero(), (phi, psi, defect.nonzero_witnesses(1))
+
+
+# column indices of the kernel properties have entries in [-2, 2]
+KERNEL_WINDOW = (2, -2)
+
+
+def _entry_column(op, p, rows):
+    """Column p of op read off the entry route over the given rows."""
+    col = {q: op.entry(q, p) for q in rows if op.accepts_row(q)}
+    return {q: v for q, v in col.items() if v}
+
+
+def _combine(terms):
+    """Exact sum of v * column over (v, column) pairs, zeros dropped."""
+    out = {}
+    for v, col in terms:
+        for q, c in col.items():
+            out[q] = out.get(q, ComplexRational(0)) + c * v
+    return {q: v for q, v in out.items() if v}
+
+
+def _kernel_operator(kind, phi, data):
+    d = phi.d
+    if kind in (Toeplitz, Laurent, Hankel, DualToeplitz):
+        return kind(phi)
+    if kind is ShiftY:
+        return ShiftY(d, data.draw(st.integers(1, d - 1)))
+    index = st.sampled_from(enumerate_window(d, *KERNEL_WINDOW).members)
+    terms = data.draw(st.lists(st.tuples(index, index, gaussian), min_size=1, max_size=3))
+    bump = FiniteRank(d, terms)
+    if kind is FiniteRank:
+        return bump
+    return OpSum([Toeplitz(phi), ShiftY(d, 1), bump])
+
+
+@PROPERTY
+@given(phi=symbols(), data=st.data(),
+       kind=st.sampled_from([Toeplitz, Laurent, Hankel, DualToeplitz, ShiftY, FiniteRank,
+                             OpSum]))
+def test_apply_combines_entry_columns(phi, kind, data):
+    op = _kernel_operator(kind, phi, data)
+    cols = [p for p in enumerate_window(phi.d, *KERNEL_WINDOW) if op.accepts_col(p)]
+    keys = data.draw(st.lists(st.sampled_from(cols), min_size=1, max_size=4, unique=True))
+    vec = {p: data.draw(coefficients) for p in keys}
+    # every column's support: one symbol step (height <= 2) past the column window
+    top, bottom = KERNEL_WINDOW
+    rows = enumerate_window(phi.d, top + HEIGHT, bottom - HEIGHT)
+    want = _combine((v, _entry_column(op, p, rows)) for p, v in vec.items())
+    assert op.apply(vec) == want, (op, vec)
+
+
+@PROPERTY
+@given(phi=symbols(), pair=st.integers(0, 2), data=st.data())
+def test_commutator_columns_compose_entry_columns(phi, pair, data):
+    d = phi.d
+    s = elementary(d, data.draw(st.integers(1, d)))
+    a, b = [(Toeplitz(phi), Toeplitz(s)),
+            (ShiftY(d, data.draw(st.integers(1, d - 1))), Toeplitz(phi)),
+            (Laurent(phi), Laurent(s))][pair]
+    commutator = Commutator(a, b)
+    cols = [p for p in enumerate_window(d, *KERNEL_WINDOW) if commutator.accepts_col(p)]
+    p = data.draw(st.sampled_from(cols))
+    # two steps of height <= 2 past the column window
+    top, bottom = KERNEL_WINDOW
+    rows = enumerate_window(d, top + 2 * HEIGHT, bottom - 2 * HEIGHT)
+
+    def compose_columns(x, y):
+        return _combine((v, _entry_column(x, r, rows))
+                        for r, v in _entry_column(y, p, rows).items())
+
+    want = _combine([(1, compose_columns(a, b)), (-1, compose_columns(b, a))])
+    assert commutator.column(p) == want, (a, b, p)
+
+
+@PROPERTY
+@given(phi=symbols())
+def test_toeplitz_adjoint_is_the_conjugate_symbol(phi):
+    t, t_adj = Toeplitz(phi), Toeplitz(phi.conjugate())
+    zero = ComplexRational(0)
+    window = analytic_window(phi.d, 4)
+    for p in window:
+        for q in window:
+            assert t.column(p).get(q, zero) == t_adj.column(q).get(p, zero).conjugate(), (q, p)
