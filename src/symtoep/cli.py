@@ -176,6 +176,11 @@ def _check_maxtop(maxtop: int | None) -> None:
         raise _InputError(f"--maxtop must be >= 0, got {maxtop}")
 
 
+def _check_grid(grid: int) -> None:
+    if grid < 1:
+        raise _InputError(f"--grid must be >= 1, got {grid}")
+
+
 def _cmd_matrix(args) -> int:
     _check_maxtop(args.maxtop)
     if args.kind == "shiftY":
@@ -304,6 +309,7 @@ def _default_maxtop(suite: str, phi: Symbol | None, d: int) -> int:
 def _cmd_verify(args) -> int:
     runner, window_kind = _SUITES[args.suite]
     _check_maxtop(args.maxtop)
+    _check_grid(args.grid)
     phi = None
     op: OperatorSpec | None = None
     if args.symbol is not None:
@@ -405,6 +411,7 @@ def _cmd_gamma_check_unitary(args) -> int:
 
 
 def _cmd_gamma_check_isometry(args) -> int:
+    _check_grid(args.grid)
     t = _read_tuple(args.tuple)
     report = check_gamma_isometry(t, tol=args.tol, grid_size=args.grid)
     payload = {

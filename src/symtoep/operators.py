@@ -435,7 +435,7 @@ def _distinguished(d: int, analytic: bool) -> tuple[list, list]:
     return [kind(x) for x in z], [kind(x) for x in z_adj]
 
 
-def bh_residual_column(T: OperatorSpec, i: int, p) -> dict:
+def bh_residual_column(T: OperatorSpec, i: int, p, _tuple=None) -> dict:
     """Exact column at p of the i-th Brown-Halmos residual of T.
 
     The side of the model is that of p.  With that side's distinguished
@@ -443,13 +443,15 @@ def bh_residual_column(T: OperatorSpec, i: int, p) -> dict:
     Z_d^* T Z_d - T for i = d: the Toeplitz relations on the analytic
     side, the dual Toeplitz relations on the non-analytic complement.
     Z_d e_p is one diagonally shifted basis vector, and every other factor
-    acts as an exact column map.
+    acts as an exact column map.  ``_tuple`` is p's side's
+    ``_distinguished`` pair, passed in by callers that reuse its column
+    caches over many columns.
     """
     d = T.d
     if not 1 <= i <= d:
         raise DomainError(f"residual index must satisfy 1 <= i <= d, got {i}")
     p = _as_partition(p)
-    z, z_adj = _distinguished(d, p.is_analytic)
+    z, z_adj = _tuple or _distinguished(d, p.is_analytic)
     first = z_adj[i - 1].apply(T.column(shift(p, 1 if p.is_analytic else -1)))
     second = T.column(p) if i == d else T.apply(z[d - i - 1].column(p))
     return vec_combine(first, second, -1)
@@ -503,7 +505,8 @@ def bh_residual_matrix(T: OperatorSpec, i: int, window: Window) -> MatrixWindow:
     Its rows widen to the columns' support when it vanishes on the window
     alone, so that a thin window keeps the witness of a non-Toeplitz T.
     """
-    columns = {p: bh_residual_column(T, i, p) for p in window}
+    tuples = {side: _distinguished(T.d, side) for side in {p.is_analytic for p in window}}
+    columns = {p: bh_residual_column(T, i, p, tuples[p.is_analytic]) for p in window}
     m = matrix_from_columns(columns, window, window)
     if m.is_zero() and any(columns.values()):
         members = set(window).union(*columns.values())
@@ -806,6 +809,8 @@ def lift_verify(phi: Symbol, windows, iterations: int = 200, seed: int = 42,
     sequences are nondecreasing over increasing windows and approach the
     sampled sup norm of the symbol from below.
     """
+    # sampling first: a grid over the sampling cap fails before any assembly
+    sampled_sup = phi.sup_norm_sampled(grid_size)
     rows = []
     laurent_op = Laurent(phi)
     toeplitz_op = Toeplitz(phi)
@@ -830,4 +835,4 @@ def lift_verify(phi: Symbol, windows, iterations: int = 200, seed: int = 42,
         and rows[k].laurent_norm <= rows[k + 1].laurent_norm + tol
         for k in range(len(rows) - 1)
     )
-    return LiftReport(rows, phi.sup_norm_sampled(grid_size), chain_ok, monotone_ok)
+    return LiftReport(rows, sampled_sup, chain_ok, monotone_ok)

@@ -3,10 +3,25 @@
 All operator entries and symbol coefficients in this package are
 ComplexRational values; floating point enters only through explicit
 evaluation and norm-estimation routines.
+
+Each part is stored as a plain ``int`` when it is integer-valued and as a
+``Fraction`` otherwise, so Gaussian-integer arithmetic, which covers
+almost every coefficient of the Brown-Halmos relations, runs on Python
+integers.  ``int`` and ``Fraction`` agree on ``==``, ``hash`` and
+``str``, so the two forms of one value are interchangeable everywhere.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _norm(x):
+    """One part: an int if integer-valued, else a Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _coerce(x):
@@ -18,13 +33,13 @@ def _coerce(x):
 
 
 class ComplexRational:
-    """a + b*i with a, b exact rationals."""
+    """a + b*i with a, b exact rationals (int when integer-valued, else Fraction)."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = _norm(re)
+        self.im = _norm(im)
 
     @classmethod
     def from_strings(cls, re: str, im: str) -> "ComplexRational":
@@ -40,7 +55,7 @@ class ComplexRational:
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
-    def abs2(self) -> Fraction:
+    def abs2(self) -> int | Fraction:
         return self.re * self.re + self.im * self.im
 
     def __add__(self, other):

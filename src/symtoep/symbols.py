@@ -13,11 +13,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, MarginError
 from .partitions import orbit_permutations
 from .scalars import ComplexRational
 
 TORUS_TOL = 1e-12
+# Most torus points one sup_norm_sampled call evaluates: each of its d + 2
+# complex arrays then stays within 64 MiB, and the default grid of 128
+# still fits up to d = 3 (128**3 = 2**21 points).
+MAX_SAMPLE_POINTS = 2 ** 22
 
 
 def _validate_rep(m, d) -> tuple[int, ...]:
@@ -155,10 +159,16 @@ class Symbol:
         """Max |phi| over the uniform grid_size^d torus grid.
 
         A certified lower bound on the sup norm; refining the grid to a
-        multiple of grid_size never decreases the value.
+        multiple of grid_size never decreases the value.  A grid of more
+        than MAX_SAMPLE_POINTS points raises MarginError before anything
+        is allocated.
         """
         if grid_size < 1:
             raise DomainError("grid_size must be >= 1")
+        if grid_size ** self.d > MAX_SAMPLE_POINTS:
+            raise MarginError(
+                f"a grid of {grid_size}^{self.d} = {grid_size ** self.d} torus points "
+                f"exceeds the sampling cap of {MAX_SAMPLE_POINTS}; use a smaller grid")
         if not self.coeffs:
             return 0.0
         axis = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)

@@ -186,6 +186,30 @@ def test_verify_empty_window_is_not_a_pass(capsys):
     assert "--maxtop" in err
 
 
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_grid_below_one_is_input_error(grid, selfadj_file, unitary_tuple_file, capsys):
+    for argv in (["verify", "--suite", "lift", "--symbol", selfadj_file],
+                 ["gamma", "check-isometry", "--tuple", unitary_tuple_file[0]]):
+        code, out, err = run_main(argv + ["--grid", grid], capsys)
+        assert (code, out) == (2, ""), argv
+        assert "--grid" in err
+
+
+def test_verify_lift_grid_over_the_sampling_cap_is_domain_error(selfadj_file, capsys,
+                                                                monkeypatch):
+    import symtoep.operators as operators
+
+    def no_assembly(*args):
+        raise AssertionError("lift assembled windows before sampling the symbol")
+
+    monkeypatch.setattr(operators, "assemble", no_assembly)
+    # 2049^2 points: just over the cap, about 70 MB per array if it were missing
+    code, out, err = run_main(
+        ["verify", "--suite", "lift", "--symbol", selfadj_file, "--grid", "2049"], capsys)
+    assert (code, out) == (3, "")
+    assert "domain error" in err and "sampling cap" in err
+
+
 def test_matrix_negative_maxtop_is_input_error(s1_file, capsys):
     code, out, err = run_main(
         ["matrix", "--kind", "toeplitz", "--symbol", s1_file,

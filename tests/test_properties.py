@@ -1,12 +1,16 @@
 """Property-based checks of the column-assembled matrices on random symbols.
 
 Symbols are random Gaussian-integer combinations of orbit representatives
-of height <= 2 in d = 2 and 3.  The residual routine serves the analytic
-side (Toeplitz relations) and the non-analytic side (dual relations), so
-each residual property is checked on both.  The eta blocks and the
-finite-rank truncation are compared with the independent entry route,
-and so is the column kernel that every operator kind shares.
+of height <= 2 in d = 2 and 3, and in d = 4 for the residual properties.
+The residual routine serves the analytic side (Toeplitz relations) and
+the non-analytic side (dual relations), so each residual property is
+checked on both.  The eta blocks and the finite-rank truncation are
+compared with the independent entry route, and so is the column kernel
+that every operator kind shares.  Symbol recovery inverts the Toeplitz
+entry map, and antisymmetrization signs are permutation parities.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,10 +22,12 @@ from symtoep import (
     Hankel,
     Laurent,
     OpSum,
+    Partition,
     ShiftY,
     Symbol,
     Toeplitz,
     analytic_window,
+    antisymmetrize,
     bh_residual_entry,
     bh_residuals,
     dual_window,
@@ -30,6 +36,7 @@ from symtoep import (
     eta,
     finite_rank_truncation,
     product_defect,
+    recover_symbol,
     shift,
     truncation_support,
 )
@@ -37,6 +44,8 @@ from symtoep.operators import Commutator
 
 HEIGHT = 2
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+# d = 4 windows hold 15 indices and every entry sums 24 permutation terms
+PROPERTY_D4 = settings(max_examples=8, deadline=None, derandomize=True)
 
 gaussian = st.builds(ComplexRational, st.integers(-3, 3), st.integers(-3, 3))
 rational = st.fractions(-3, 3, max_denominator=4)
@@ -61,14 +70,14 @@ def _perturbed(phi, kind, window, data):
 
 def _side(d: int, analytic: bool):
     """(operator kind, window) for one side of the model."""
+    # in d = 4 the d = 2, 3 margins leave only 5 indices; one more level gives 15
+    wide = 1 if d == 4 else 0
     if analytic:
-        return Toeplitz, analytic_window(d, 4)
-    return DualToeplitz, dual_window(d, 2, -2)
+        return Toeplitz, analytic_window(d, 4 + wide)
+    return DualToeplitz, dual_window(d, 2, -2 - wide)
 
 
-@PROPERTY
-@given(phi=symbols(), analytic=st.booleans())
-def test_residuals_vanish_for_toeplitz_and_dual(phi, analytic):
+def _assert_residuals_vanish(phi, analytic):
     kind, window = _side(phi.d, analytic)
     residuals = bh_residuals(kind(phi), window)
     assert len(residuals) == phi.d
@@ -76,9 +85,7 @@ def test_residuals_vanish_for_toeplitz_and_dual(phi, analytic):
         assert res.is_zero(), (phi, res.nonzero_witnesses(1))
 
 
-@PROPERTY
-@given(phi=symbols(), analytic=st.booleans(), data=st.data())
-def test_column_route_equals_entry_route(phi, analytic, data):
+def _assert_column_route_equals_entry_route(phi, analytic, data):
     kind, window = _side(phi.d, analytic)
     # a rank-one perturbation on the same side makes the residuals nonzero
     op = _perturbed(phi, kind, window, data)
@@ -86,6 +93,64 @@ def test_column_route_equals_entry_route(phi, analytic, data):
         for q in window:
             for p in window:
                 assert res.entry_at(q, p) == bh_residual_entry(op, i, q, p), (i, q, p)
+
+
+@PROPERTY
+@given(phi=symbols(), analytic=st.booleans())
+def test_residuals_vanish_for_toeplitz_and_dual(phi, analytic):
+    _assert_residuals_vanish(phi, analytic)
+
+
+@PROPERTY_D4
+@given(phi=symbols(4), analytic=st.booleans())
+def test_residuals_vanish_for_toeplitz_and_dual_d4(phi, analytic):
+    _assert_residuals_vanish(phi, analytic)
+
+
+@PROPERTY
+@given(phi=symbols(), analytic=st.booleans(), data=st.data())
+def test_column_route_equals_entry_route(phi, analytic, data):
+    _assert_column_route_equals_entry_route(phi, analytic, data)
+
+
+@PROPERTY_D4
+@given(phi=symbols(4), analytic=st.booleans(), data=st.data())
+def test_column_route_equals_entry_route_d4(phi, analytic, data):
+    _assert_column_route_equals_entry_route(phi, analytic, data)
+
+
+@PROPERTY
+@given(phi=symbols())
+def test_recover_symbol_inverts_toeplitz_entries(phi):
+    assert recover_symbol(Toeplitz(phi).entry, phi.d, phi.height()) == phi
+
+
+def _parity(perm) -> int:
+    """Sign of a permutation of range(n) from its cycle lengths."""
+    sign, seen = 1, set()
+    for start in range(len(perm)):
+        length, k = 0, start
+        while k not in seen:
+            seen.add(k)
+            k = perm[k]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+@PROPERTY
+@given(t=st.lists(st.integers(-4, 6), min_size=2, max_size=5).map(tuple))
+def test_antisymmetrize_sign_is_the_sorting_permutation_parity(t):
+    sign, part = antisymmetrize(t)
+    if len(set(t)) < len(t):
+        assert (sign, part) == (0, None)
+        return
+    # brute force: the one reordering of t that is strictly decreasing
+    perm = next(perm for perm in itertools.permutations(range(len(t)))
+                if all(t[perm[k]] > t[perm[k + 1]] for k in range(len(t) - 1)))
+    assert part == Partition(tuple(t[k] for k in perm))
+    assert sign == _parity(perm)
 
 
 @PROPERTY

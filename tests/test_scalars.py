@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from symtoep import ComplexRational
 
@@ -92,3 +94,83 @@ def test_hashable_as_dict_key():
     table = {ComplexRational(1, 2): "a", ComplexRational(1, 3): "b"}
     assert table[ComplexRational(1, 2)] == "a"
     assert ComplexRational(2, 4) not in table
+
+
+# -- differential test of the int lane -----------------------------------------
+#
+# ComplexRational keeps an integer-valued part as an int and any other part
+# as a Fraction.  The reference below is the plain pair of Fractions; every
+# operation must agree with it, and every result must keep that form.
+
+DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True)
+
+# a part as callers pass it: an int, an integer-valued Fraction such as
+# Fraction(4, 2), or a rational that is not an integer
+parts = hst.one_of(
+    hst.integers(-10 ** 20, 10 ** 20),
+    hst.builds(lambda n, k: Fraction(n * k, k), hst.integers(-50, 50), hst.integers(1, 9)),
+    hst.fractions(max_denominator=12),
+)
+scalars = hst.builds(ComplexRational, parts, parts)
+operands = hst.one_of(scalars, parts)
+
+
+def _ref(x):
+    """The reference pair (re, im) of Fractions for a scalar or a real part."""
+    if isinstance(x, ComplexRational):
+        return Fraction(x.re), Fraction(x.im)
+    return Fraction(x), Fraction(0)
+
+
+def _ref_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _ref_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _in_lane(z) -> bool:
+    """Both parts are ints when integer-valued and Fractions otherwise."""
+    return all(type(x) is int if x.denominator == 1 else type(x) is Fraction
+               for x in (z.re, z.im))
+
+
+def _agrees(z, want) -> bool:
+    return _in_lane(z) and (z.re, z.im) == want
+
+
+@DIFFERENTIAL
+@given(re=parts, im=parts)
+def test_construction_normalizes_parts(re, im):
+    z = ComplexRational(re, im)
+    assert _agrees(z, (Fraction(re), Fraction(im)))
+    assert _agrees(ComplexRational.from_strings(str(re), str(im)), _ref(z))
+
+
+@DIFFERENTIAL
+@given(x=scalars, y=operands)
+def test_arithmetic_matches_fraction_pairs(x, y):
+    a, b = _ref(x), _ref(y)
+    neg_b = (-b[0], -b[1])
+    assert _agrees(x + y, _ref_add(a, b))
+    assert _agrees(y + x, _ref_add(a, b))
+    assert _agrees(x - y, _ref_add(a, neg_b))
+    assert _agrees(y - x, _ref_add(b, (-a[0], -a[1])))
+    assert _agrees(x * y, _ref_mul(a, b))
+    assert _agrees(y * x, _ref_mul(a, b))
+    assert _agrees(-x, (-a[0], -a[1]))
+    assert _agrees(x.conjugate(), (a[0], -a[1]))
+    assert x.abs2() == a[0] * a[0] + a[1] * a[1]
+
+
+@DIFFERENTIAL
+@given(x=scalars, y=operands)
+def test_comparison_and_serialization_match_fraction_pairs(x, y):
+    a, b = _ref(x), _ref(y)
+    assert (x == y) == (a == b)
+    # hash equal to the Fraction pair's keeps every dict key as it was
+    assert hash(x) == hash(a)
+    assert bool(x) == (a != (0, 0))
+    assert x.rational_strings() == (str(a[0]), str(a[1]))
+    assert x.to_complex() == complex(a[0]) + 1j * complex(a[1])

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import math
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from symtoep import (
     ComplexRational,
     DomainError,
+    MarginError,
     Symbol,
     combine,
     elementary,
@@ -17,6 +19,7 @@ from symtoep import (
     unit,
     zero_symbol,
 )
+from symtoep.symbols import MAX_SAMPLE_POINTS
 from conftest import symbol_battery
 
 
@@ -168,6 +171,17 @@ def test_sup_norm_hand_values():
     assert unit(2).sup_norm_sampled(16) == pytest.approx(1.0, abs=1e-12)
     # |z1 + z2| peaks at 2 on the diagonal of the torus
     assert elementary(2, 1).sup_norm_sampled(64) == pytest.approx(2.0, abs=1e-3)
+
+
+def test_sup_norm_sampling_cap():
+    # the default lift grid of 128 fits up to d = 3, and not at d = 4
+    assert 128 ** 3 <= MAX_SAMPLE_POINTS < 128 ** 4
+    # one grid step over the cap at d = 2 (about 70 MB per array without it)
+    grid = math.isqrt(MAX_SAMPLE_POINTS) + 1
+    with pytest.raises(MarginError, match="sampling cap"):
+        elementary(2, 1).sup_norm_sampled(grid)
+    with pytest.raises(DomainError):
+        elementary(2, 1).sup_norm_sampled(0)
 
 
 def test_json_round_trip():
