@@ -44,6 +44,7 @@ from .operators import (
     classify_analytic,
     lift_verify,
     product_defect,
+    witness_dict,
 )
 from .compactness import commutator_decay, eta
 from .dual import block_decomposition_check
@@ -130,15 +131,17 @@ def _parse_operator(text: str, d: int) -> OperatorSpec:
 
 
 def _witness_dicts(matrix: MatrixWindow, limit: int = 5) -> list:
-    out = []
-    for q, p, value in matrix.nonzero_witnesses(limit):
-        re_s, im_s = value.rational_strings()
-        out.append({"row": list(q), "col": list(p), "re": re_s, "im": im_s})
-    return out
+    return [witness_dict(q, p, v) for q, p, v in matrix.nonzero_witnesses(limit)]
 
 
 def _report_text(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _report(payload: dict, out: str | None) -> int:
+    """Emit a JSON report; the exit code is 0 if its verdict holds, else 1."""
+    _emit(_report_text(payload), out)
+    return 0 if payload["verdict"] else 1
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -234,13 +237,8 @@ def _suite_brown_halmos(args, phi, op, window):
 
 def _suite_analytic(args, phi, op, window):
     report = classify_analytic(phi, window)
-    witnesses = []
-    for check in report.checks:
-        if check.witness is not None:
-            q, p, value = check.witness
-            re_s, im_s = value.rational_strings()
-            witnesses.append({"partner": check.partner, "row": list(q),
-                              "col": list(p), "re": re_s, "im": im_s})
+    witnesses = [{"partner": check.partner, **witness_dict(*check.witness)}
+                 for check in report.checks if check.witness is not None]
     return report.consistent, witnesses, [], report.to_json_dict()
 
 
@@ -359,16 +357,14 @@ def _cmd_verify(args) -> int:
         "seed": args.seed,
         "grid": args.grid,
     }
-    report = {
+    return _report({
         "check": args.suite,
         "config": config,
         "verdict": verdict,
         "witnesses": witnesses,
         "norms": norms,
         "details": details,
-    }
-    _emit(_report_text(report), args.out)
-    return 0 if verdict else 1
+    }, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -382,47 +378,40 @@ def _cmd_gamma_member(args) -> int:
             f"--d {args.d} disagrees with point length {len(point)}")
     closure = point_in_gamma(point, tol=args.tol)
     boundary = point_in_bgamma(point, tol=args.tol)
-    verdict = boundary.in_set if args.boundary else closure.in_set
-    report = {
+    return _report({
         "check": "gamma-member",
         "config": {"command": "gamma member", "point": args.point,
                    "d": len(point), "boundary": args.boundary,
                    "tol": args.tol},
-        "verdict": verdict,
+        "verdict": boundary.in_set if args.boundary else closure.in_set,
         "closure": closure.to_json_dict(),
         "boundary": boundary.to_json_dict(),
-    }
-    _emit(_report_text(report), args.out)
-    return 0 if verdict else 1
+    }, args.out)
 
 
 def _cmd_gamma_check_unitary(args) -> int:
     t = _read_tuple(args.tuple)
     report = check_gamma_unitary(t, tol=args.tol, seed=args.seed)
-    payload = {
+    return _report({
         "check": "gamma-unitary",
         "config": {"command": "gamma check-unitary", "tuple": args.tuple,
                    "tol": args.tol, "seed": args.seed},
         "verdict": report.passed,
         "details": report.to_json_dict(),
-    }
-    _emit(_report_text(payload), args.out)
-    return 0 if report.passed else 1
+    }, args.out)
 
 
 def _cmd_gamma_check_isometry(args) -> int:
     _check_grid(args.grid)
     t = _read_tuple(args.tuple)
     report = check_gamma_isometry(t, tol=args.tol, grid_size=args.grid)
-    payload = {
+    return _report({
         "check": "gamma-isometry",
         "config": {"command": "gamma check-isometry", "tuple": args.tuple,
                    "tol": args.tol, "grid": args.grid},
         "verdict": report.passed,
         "details": report.to_json_dict(),
-    }
-    _emit(_report_text(payload), args.out)
-    return 0 if report.passed else 1
+    }, args.out)
 
 
 def _cmd_gamma_solve(args) -> int:
@@ -431,7 +420,7 @@ def _cmd_gamma_solve(args) -> int:
     mats = [[[float(np.real(v)), float(np.imag(v))] for v in row.flat]
             for row in basis]
     shapes = [list(b.shape) for b in basis]
-    payload = {
+    return _report({
         "check": "s-toeplitz-solve",
         "config": {"command": "gamma solve-toeplitz", "tuple": args.tuple,
                    "tol": args.tol},
@@ -439,9 +428,7 @@ def _cmd_gamma_solve(args) -> int:
         "dimension": len(basis),
         "basis_shapes": shapes,
         "basis": mats,
-    }
-    _emit(_report_text(payload), args.out)
-    return 0
+    }, args.out)
 
 
 # ---------------------------------------------------------------------------

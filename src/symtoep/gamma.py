@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DegeneracyError, DomainError
-from .operators import Commutator, Laurent, Toeplitz
+from .operators import Commutator, Laurent, Toeplitz, assemble
 from .partitions import Window, regrade, shift
 from .scalars import ONE
 from .symbols import Symbol, elementary
@@ -55,12 +54,15 @@ class MembershipVerdict:
         }
 
 
-def _char_coeffs(point) -> list:
-    # z^d - s_1 z^{d-1} + s_2 z^{d-2} - ... + (-1)^d s_d
+def _roots(point) -> np.ndarray:
+    """Roots of z^d - s_1 z^{d-1} + s_2 z^{d-2} - ... + (-1)^d s_d."""
+    point = tuple(complex(x) for x in point)
+    if not point:
+        raise DomainError("membership needs a nonempty point")
     coeffs = [1.0 + 0j]
     for k, s in enumerate(point, start=1):
-        coeffs.append((-1) ** k * complex(s))
-    return coeffs
+        coeffs.append((-1) ** k * s)
+    return np.roots(coeffs)
 
 
 def point_in_gamma(point, tol: float = 1e-9) -> MembershipVerdict:
@@ -70,20 +72,14 @@ def point_in_gamma(point, tol: float = 1e-9) -> MembershipVerdict:
     matrix eigenvalues; membership means every root has modulus <= 1
     within tol, and margin = max |root| - 1.
     """
-    point = tuple(complex(x) for x in point)
-    if not point:
-        raise DomainError("membership needs a nonempty point")
-    roots = np.roots(_char_coeffs(point))
+    roots = _roots(point)
     margin = float(np.max(np.abs(roots)) - 1.0)
     return MembershipVerdict(margin <= tol, margin, [complex(z) for z in roots], tol)
 
 
 def point_in_bgamma(point, tol: float = 1e-9) -> MembershipVerdict:
     """Distinguished-boundary membership: every root on the unit circle."""
-    point = tuple(complex(x) for x in point)
-    if not point:
-        raise DomainError("membership needs a nonempty point")
-    roots = np.roots(_char_coeffs(point))
+    roots = _roots(point)
     margin = float(np.max(np.abs(np.abs(roots) - 1.0)))
     return MembershipVerdict(margin <= tol, margin, [complex(z) for z in roots], tol)
 
@@ -104,7 +100,6 @@ class GammaTuple:
 
     d: int
     mats: tuple
-    comm_tol: float = 1e-8
 
     def __post_init__(self):
         if self.d < 2:
@@ -155,14 +150,6 @@ class GammaTuple:
             raise DomainError(f"malformed gamma tuple JSON: {exc}") from exc
         return cls(d, tuple(mats))
 
-    @classmethod
-    def from_json(cls, text: str) -> "GammaTuple":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
-
 
 def synth_gamma_unitary(unitaries, comm_tol: float = 1e-8) -> GammaTuple:
     """Build (R_1, ..., R_{d-1}, U) from a commuting family of unitaries.
@@ -198,7 +185,7 @@ def synth_gamma_unitary(unitaries, comm_tol: float = 1e-8) -> GammaTuple:
     for u in us:
         full = full @ u
     mats.append(full)
-    return GammaTuple(d, tuple(mats), comm_tol)
+    return GammaTuple(d, tuple(mats))
 
 
 @dataclass
@@ -472,17 +459,15 @@ def minimal_extension_verify(phi: Symbol, window: Window) -> ExtensionReport:
                     for p in window if c.column(p)), None)
     checks.append(("laurent-coordinates-commute", witness is None, witness))
 
-    lphi = Laurent(phi)
-    tphi = Toeplitz(phi)
+    wa = window.analytic_part()
+    got = assemble(Laurent(phi), wa, wa).entries
+    want = assemble(Toeplitz(phi), wa, wa).entries
+    # mismatched positions as (column, row): the witness is the first column-major
+    bad = [(j, i) for i, j in got.keys() | want.keys() if got.get((i, j)) != want.get((i, j))]
     witness = None
-    analytic = [p for p in window if p.is_analytic]
-    for p in analytic:
-        for q in analytic:
-            if lphi.entry(q, p) != tphi.entry(q, p):
-                witness = (tuple(q), tuple(p))
-                break
-        if witness:
-            break
+    if bad:
+        j, i = min(bad)
+        witness = (tuple(wa.members[i]), tuple(wa.members[j]))
     checks.append(("analytic-compression-is-toeplitz", witness is None, witness))
 
     ld = Laurent(elementary(d, d))

@@ -18,6 +18,7 @@ exactness verdict.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -345,15 +346,16 @@ class MatrixWindow:
         j = self.cols.position[_as_partition(p)]
         return self.entries.get((i, j), ComplexRational(0))
 
-    def nonzero_witnesses(self, limit: int = 5) -> list:
-        out = []
-        for (i, j) in sorted(self.entries):
+    def _nonzero(self):
+        """(row position, column position, value) of each nonzero entry, sorted."""
+        for i, j in sorted(self.entries):
             v = self.entries[(i, j)]
             if v:
-                out.append((self.rows.members[i], self.cols.members[j], v))
-                if len(out) >= limit:
-                    break
-        return out
+                yield i, j, v
+
+    def nonzero_witnesses(self, limit: int = 5) -> list:
+        rows, cols = self.rows.members, self.cols.members
+        return [(rows[i], cols[j], v) for i, j, v in itertools.islice(self._nonzero(), limit)]
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((len(self.rows), len(self.cols)), dtype=complex)
@@ -366,26 +368,28 @@ class MatrixWindow:
 
     def to_csv_text(self) -> str:
         lines = ["row;col;re;im"]
-        for (i, j) in sorted(self.entries):
-            v = self.entries[(i, j)]
-            if v:
-                re, im = v.rational_strings()
-                lines.append(f"{i};{j};{re};{im}")
+        for i, j, v in self._nonzero():
+            re, im = v.rational_strings()
+            lines.append(f"{i};{j};{re};{im}")
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         ent = []
-        for (i, j) in sorted(self.entries):
-            v = self.entries[(i, j)]
-            if v:
-                re, im = v.rational_strings()
-                ent.append({"row": i, "col": j, "re": re, "im": im})
+        for i, j, v in self._nonzero():
+            re, im = v.rational_strings()
+            ent.append({"row": i, "col": j, "re": re, "im": im})
         return {
             "rows": self.rows.to_json_dict(),
             "cols": self.cols.to_json_dict(),
             "exact": self.exact,
             "entries": ent,
         }
+
+
+def witness_dict(q, p, v: ComplexRational) -> dict:
+    """JSON form of one exact witness entry v at row q, column p."""
+    re, im = v.rational_strings()
+    return {"row": list(q), "col": list(p), "re": re, "im": im}
 
 
 def assemble(op: OperatorSpec, rows: Window, cols: Window) -> MatrixWindow:
@@ -457,11 +461,12 @@ def bh_residual_column(T: OperatorSpec, i: int, p, _tuple=None) -> dict:
     return vec_combine(first, second, -1)
 
 
-def bh_residual_entry(T: OperatorSpec, i: int, q, p) -> ComplexRational:
+def bh_residual_entry(T: OperatorSpec, i: int, q, p, _tuple=None) -> ComplexRational:
     """Residual entry by direct inner-product expansion on shifted indices.
 
     Independent of the column route; uses only T.entry, through
-    <Z_i^* T Z_d e_p, e_q> = <T Z_d e_p, Z_i e_q>.
+    <Z_i^* T Z_d e_p, e_q> = <T Z_d e_p, Z_i e_q>.  ``_tuple`` is as in
+    bh_residual_column.
     """
     d = T.d
     if not 1 <= i <= d:
@@ -474,7 +479,7 @@ def bh_residual_entry(T: OperatorSpec, i: int, q, p) -> ComplexRational:
     p1 = shift(p, step)
     if i == d:
         return T.entry(shift(q, step), p1) - T.entry(q, p)
-    z, _ = _distinguished(d, p.is_analytic)
+    z, _ = _tuple or _distinguished(d, p.is_analytic)
     total = ComplexRational(0)
     for r, c in z[i - 1].column(q).items():
         # coefficients are +-1, so conjugation is the identity
@@ -520,54 +525,41 @@ def bh_residual_matrix(T: OperatorSpec, i: int, window: Window) -> MatrixWindow:
 
 
 def _candidate_reps(d: int, bound: int):
-    import itertools
-
     values = range(bound, -bound - 1, -1)
     return list(itertools.combinations_with_replacement(values, d))
 
 
-def recover_symbol(oracle, d: int, degree_bound: int, check: bool = True) -> Symbol:
+def recover_symbol(oracle, d: int, degree_bound: int) -> Symbol:
     """Unique symbol of height <= degree_bound matching a Toeplitz entry oracle.
 
-    oracle: an OperatorSpec or a callable (q, p) -> ComplexRational on
-    analytic pairs.  Probe pairs q = (K d, ..., K), p = q - m_ascending
-    with K = 2*degree_bound + 2 push every off-identity permutation term
-    outside the height bound, so each probe reads one coefficient
-    directly.  A Brown-Halmos pre-check and a full round-trip window
-    comparison guard against oracles that are not Toeplitz within the
-    bound; an oracle that cannot serve the needed indices raises
-    MarginError.
+    oracle: an entry callable (q, p) -> ComplexRational on analytic pairs,
+    such as ``Toeplitz(phi).entry``.  Probe pairs q = (K d, ..., K),
+    p = q - m_ascending with K = 2*degree_bound + 2 push every
+    off-identity permutation term outside the height bound, so each probe
+    reads one coefficient directly.  A Brown-Halmos pre-check on the
+    entries and a full round-trip window comparison guard against oracles
+    that are not Toeplitz within the bound; an oracle that cannot serve
+    the needed indices raises MarginError.
     """
     if degree_bound < 0:
         raise DomainError("degree bound must be >= 0")
-    is_spec = isinstance(oracle, OperatorSpec)
-    entry_fn = oracle.entry if is_spec else oracle
-    if is_spec and oracle.d != d:
-        raise DomainError("oracle dimension mismatch")
-
     guard_window = analytic_window(d, degree_bound + d)
-    if check:
-        if is_spec:
-            for i, res in enumerate(bh_residuals(oracle, guard_window), start=1):
-                for q, p, _ in res.nonzero_witnesses(1):
+    probe_T = _CallableEntries(d, oracle)
+    analytic_tuple = _distinguished(d, True)
+    for i in range(1, d + 1):
+        for p in guard_window:
+            for q in guard_window:
+                try:
+                    residual = bh_residual_entry(probe_T, i, q, p, analytic_tuple)
+                except (DomainError, KeyError, IndexError) as exc:
+                    raise MarginError(
+                        "oracle cannot serve the Brown-Halmos pre-check "
+                        f"near ({tuple(q)}, {tuple(p)}); provide a larger window"
+                    ) from exc
+                if residual:
                     raise NotToeplitzError(
-                        f"Brown-Halmos residual {i} nonzero at ({tuple(q)}, {tuple(p)})")
-        else:
-            probe_T = _CallableEntries(d, entry_fn)
-            for i in range(1, d + 1):
-                for p in guard_window:
-                    for q in guard_window:
-                        try:
-                            residual = bh_residual_entry(probe_T, i, q, p)
-                        except (DomainError, KeyError, IndexError) as exc:
-                            raise MarginError(
-                                "oracle cannot serve the Brown-Halmos pre-check "
-                                f"near ({tuple(q)}, {tuple(p)}); provide a larger window"
-                            ) from exc
-                        if residual:
-                            raise NotToeplitzError(
-                                f"Brown-Halmos residual {i} nonzero at ({tuple(q)}, {tuple(p)})"
-                            )
+                        f"Brown-Halmos residual {i} nonzero at ({tuple(q)}, {tuple(p)})"
+                    )
 
     K = 2 * degree_bound + 2
     q_probe = Partition(tuple(K * (d - k) for k in range(d)))
@@ -576,7 +568,7 @@ def recover_symbol(oracle, d: int, degree_bound: int, check: bool = True) -> Sym
         m_asc = tuple(reversed(m))
         p_probe = Partition(tuple(x - y for x, y in zip(q_probe, m_asc)))
         try:
-            val = entry_fn(q_probe, p_probe)
+            val = oracle(q_probe, p_probe)
         except (DomainError, KeyError, IndexError) as exc:
             raise MarginError(
                 f"oracle cannot serve probe ({tuple(q_probe)}, {tuple(p_probe)}); "
@@ -586,22 +578,21 @@ def recover_symbol(oracle, d: int, degree_bound: int, check: bool = True) -> Sym
             coeffs[m] = val
     recovered = Symbol(d, coeffs)
 
-    if check:
-        model = Toeplitz(recovered)
-        for p in guard_window:
-            expected = model.column(p)
-            for q in guard_window:
-                try:
-                    got = entry_fn(q, p)
-                except (DomainError, KeyError, IndexError) as exc:
-                    raise MarginError(
-                        "oracle cannot serve the verification window"
-                    ) from exc
-                if got != expected.get(q, ComplexRational(0)):
-                    raise NotToeplitzError(
-                        f"oracle disagrees with recovered symbol at ({tuple(q)}, {tuple(p)}); "
-                        "not a Toeplitz operator within the degree bound"
-                    )
+    model = Toeplitz(recovered)
+    for p in guard_window:
+        expected = model.column(p)
+        for q in guard_window:
+            try:
+                got = oracle(q, p)
+            except (DomainError, KeyError, IndexError) as exc:
+                raise MarginError(
+                    "oracle cannot serve the verification window"
+                ) from exc
+            if got != expected.get(q, ComplexRational(0)):
+                raise NotToeplitzError(
+                    f"oracle disagrees with recovered symbol at ({tuple(q)}, {tuple(p)}); "
+                    "not a Toeplitz operator within the degree bound"
+                )
     return recovered
 
 
@@ -671,11 +662,7 @@ class CommutatorCheck:
     witness: tuple | None
 
     def to_json_dict(self) -> dict:
-        wit = None
-        if self.witness is not None:
-            q, p, v = self.witness
-            re, im = v.rational_strings()
-            wit = {"row": list(q), "col": list(p), "re": re, "im": im}
+        wit = None if self.witness is None else witness_dict(*self.witness)
         return {"partner": self.partner, "exactZero": self.exact_zero, "witness": wit}
 
 

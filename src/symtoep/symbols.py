@@ -8,7 +8,6 @@ sampled sup-norms are the only floating-point operations.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -191,9 +190,6 @@ class Symbol:
             terms.append({"m": list(m), "re": re, "im": im})
         return {"d": self.d, "terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "Symbol":
         try:
@@ -210,14 +206,6 @@ class Symbol:
                 raise DomainError(f"malformed symbol term {term}: {exc}") from exc
             coeffs[m] = coeffs.get(m, ComplexRational(0)) + c
         return cls(d, coeffs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Symbol":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
 
 
 def zero_symbol(d: int) -> Symbol:

@@ -21,6 +21,7 @@ from symtoep import (
     truncation_support,
     unit,
 )
+from conftest import symbol_battery
 
 
 def rank_one_at(p):
@@ -116,6 +117,16 @@ def test_commutator_decay_toeplitz_reaches_exact_zero():
     assert report.final_exact_zero
     assert report.bh_residual.is_zero()
     assert all(n == pytest.approx(0.0, abs=1e-12) for n in report.norms[1:])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_commutator_decay_is_zero_from_the_first_step(d):
+    """[T_phi, T_{s_i}] has range on last entry 0, so one conjugation kills it."""
+    for phi in symbol_battery(d):
+        window = analytic_window(d, phi.height() + d + 1)
+        for i in range(1, d):
+            report = commutator_decay(Toeplitz(phi), i, 1, window)
+            assert report.final_exact_zero, (phi, i)
 
 
 def test_commutator_decay_shift_stays_constant():

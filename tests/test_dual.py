@@ -14,6 +14,7 @@ from symtoep import (
     Partition,
     Toeplitz,
     analytic_window,
+    bh_residual_column,
     block_decomposition_check,
     dual_bh_residuals,
     dual_window,
@@ -122,6 +123,19 @@ def test_hankel_adjoint_block_is_conjugate_transpose():
 def test_dual_residuals_require_nonanalytic_window():
     with pytest.raises(DomainError):
         dual_bh_residuals(DualToeplitz(elementary(2, 1)), analytic_window(2, 3))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_dual_residual_column_is_the_shared_residual_column(d):
+    window = dual_window(d, 2, -2)
+    bump = FiniteRank(d, [(window.members[0], window.members[0], ComplexRational(1))])
+    op = OpSum([DualToeplitz(elementary(d, 1) + elementary(d, d).conjugate()), bump])
+    for i in range(1, d + 1):
+        columns = [dual.dual_bh_residual_column(op, i, tuple(p)) for p in window]
+        assert columns == [bh_residual_column(op, i, p) for p in window]
+        assert any(columns)
+    with pytest.raises(DomainError, match="non-analytic column"):
+        dual.dual_bh_residual_column(op, 1, analytic_window(d, 2).members[0])
 
 
 def test_toeplitz_block_equals_toeplitz_matrix():

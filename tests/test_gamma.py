@@ -7,13 +7,17 @@ import pytest
 from scipy.stats import unitary_group
 
 from symtoep import (
+    ComplexRational,
     DegeneracyError,
     DomainError,
     GammaTuple,
+    Laurent,
+    Toeplitz,
     analytic_window,
     check_gamma_isometry,
     check_gamma_unitary,
     elementary,
+    enumerate_window,
     minimal_extension_verify,
     point_in_bgamma,
     point_in_gamma,
@@ -21,6 +25,7 @@ from symtoep import (
     symmetrize_point,
     synth_gamma_unitary,
 )
+from symtoep import gamma
 
 
 def random_commuting_unitaries(d: int, n: int, seed: int, conjugate: bool = True):
@@ -222,6 +227,26 @@ def test_minimal_extension_verify(d):
     phi = elementary(d, 1)
     report = minimal_extension_verify(phi, analytic_window(d, 4))
     assert report.passed
+
+
+def test_minimal_extension_compression_witness(monkeypatch):
+    """A wrong Toeplitz model fails check (2) at its first column-major mismatch."""
+    phi = elementary(2, 1).scaled(ComplexRational(1, 2)) + \
+        elementary(2, 2).conjugate().scaled(ComplexRational(0, 1))
+    window = enumerate_window(2, 4, -4)
+    monkeypatch.setattr(gamma, "Toeplitz", lambda symbol: Toeplitz(symbol.conjugate()))
+    report = minimal_extension_verify(phi, window)
+    assert [(name, ok) for name, ok, _ in report.checks] == [
+        ("laurent-coordinates-commute", True),
+        ("analytic-compression-is-toeplitz", False),
+        ("diagonal-shift-reachability", True)]
+    # the entry route, column by column over the window's analytic members
+    laurent, broken = Laurent(phi), Toeplitz(phi.conjugate())
+    analytic = [p for p in window if p.is_analytic]
+    mismatches = [(tuple(q), tuple(p)) for p in analytic for q in analytic
+                  if laurent.entry(q, p) != broken.entry(q, p)]
+    assert len(mismatches) > 1
+    assert report.checks[1][2] == mismatches[0]
 
 
 @pytest.mark.parametrize("check", [check_gamma_unitary, check_gamma_isometry,
