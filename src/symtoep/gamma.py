@@ -18,7 +18,7 @@ from .errors import DegeneracyError, DomainError
 from .operators import Commutator, Laurent, Toeplitz, assemble
 from .partitions import Window, regrade, shift
 from .scalars import ONE
-from .symbols import Symbol, elementary
+from .symbols import Symbol, elementary, sample_count
 
 
 def _opnorm(a) -> float:
@@ -325,7 +325,11 @@ class GammaIsometryReport:
 
 
 def _symmetrized_grid(dim: int, grid_size: int) -> list:
-    """Elementary symmetric images of the uniform torus grid in dim variables."""
+    """Elementary symmetric images of the uniform torus grid in dim variables.
+
+    A grid over the sampling cap raises MarginError before any point is built.
+    """
+    sample_count(grid_size, dim)
     angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
     axis = np.exp(1j * angles)
     pts = []

@@ -9,6 +9,8 @@ sampled sup-norms are the only floating-point operations.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -17,10 +19,29 @@ from .partitions import orbit_permutations
 from .scalars import ComplexRational
 
 TORUS_TOL = 1e-12
-# Most torus points one sup_norm_sampled call evaluates: each of its d + 2
-# complex arrays then stays within 64 MiB, and the default grid of 128
-# still fits up to d = 3 (128**3 = 2**21 points).
+# Largest torus grid (grid_size**d points) sup_norm_sampled accepts.  The
+# points are evaluated in chunks, so this bounds work, not memory: one
+# point per permutation orbit (about 1/d! of the grid), then at most the
+# whole grid again to certify the maximum.  The default grid of 128 fits
+# up to d = 3 (128**3 = 2**21 points) and not at d = 4.
 MAX_SAMPLE_POINTS = 2 ** 22
+# Torus points sup_norm_sampled evaluates at once; each of its complex
+# arrays then takes 256 KiB.
+_SAMPLE_CHUNK = 2 ** 14
+
+
+def sample_count(grid_size: int, dim: int) -> int:
+    """Points of the uniform grid_size^dim torus grid.
+
+    Raises MarginError when they exceed MAX_SAMPLE_POINTS, before any
+    sampling work starts.
+    """
+    n_points = grid_size ** dim
+    if n_points > MAX_SAMPLE_POINTS:
+        raise MarginError(
+            f"a grid of {grid_size}^{dim} = {n_points} torus points "
+            f"exceeds the sampling cap of {MAX_SAMPLE_POINTS}; use a smaller grid")
+    return n_points
 
 
 def _validate_rep(m, d) -> tuple[int, ...]:
@@ -158,28 +179,62 @@ class Symbol:
         """Max |phi| over the uniform grid_size^d torus grid.
 
         A certified lower bound on the sup norm; refining the grid to a
-        multiple of grid_size never decreases the value.  A grid of more
-        than MAX_SAMPLE_POINTS points raises MarginError before anything
-        is allocated.
+        multiple of grid_size never decreases the value.  The symbol is
+        symmetric, so only the sorted index multisets (one point per
+        permutation orbit) are evaluated, in chunks of _SAMPLE_CHUNK
+        points; the permutations of the few representatives within
+        rounding distance of their maximum are then evaluated too, so the
+        result is bit for bit the maximum over the full grid.  A grid of
+        more than MAX_SAMPLE_POINTS points raises MarginError before any
+        work starts.
         """
         if grid_size < 1:
             raise DomainError("grid_size must be >= 1")
-        if grid_size ** self.d > MAX_SAMPLE_POINTS:
-            raise MarginError(
-                f"a grid of {grid_size}^{self.d} = {grid_size ** self.d} torus points "
-                f"exceeds the sampling cap of {MAX_SAMPLE_POINTS}; use a smaller grid")
+        d = self.d
+        n_points = sample_count(grid_size, d)
         if not self.coeffs:
             return 0.0
+        terms = [(point, c.to_complex()) for point, c in self.lattice_terms()]
         axis = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-        grids = np.meshgrid(*([axis] * self.d), indexing="ij")
-        total = np.zeros(grids[0].shape, dtype=complex)
-        for point, c in self.lattice_terms():
-            term = np.full(grids[0].shape, c.to_complex())
-            for g, e in zip(grids, point):
-                if e:
-                    term = term * g ** e
-            total += term
-        return float(np.max(np.abs(total)))
+        powers = {e: axis ** e for point, _ in terms for e in point if e}
+
+        tables = _binomial_tables(grid_size, d)
+        n_reps = comb(grid_size + d - 1, d)
+        rep_abs = np.empty(n_reps)
+        for start in range(0, n_reps, _SAMPLE_CHUNK):
+            stop = min(start + _SAMPLE_CHUNK, n_reps)
+            rep_abs[start:stop] = _modulus(
+                terms, powers, _sorted_multisets(tables, np.arange(start, stop)))
+
+        # Certification.  Let T(x) be the exact sum over the lattice terms
+        # p of c_p * prod_k powers[p_k][x_k].  Its factors are table floats
+        # and c_p is constant on orbits, so T is exactly symmetric.  The
+        # computed modulus at x is within B = (n + d + 2) * 4 eps * S of |T(x)|,
+        # where n is the number of terms and S = sum_p |c_p| prod_k
+        # max|powers[p_k]| bounds every term and partial sum: each term
+        # takes at most d complex products (relative error below 2 eps
+        # each), the n-term sum adds at most n eps * S and the modulus
+        # 4 eps * S.  The full-grid maximum is at least the largest
+        # representative value M, so it sits at a permutation of a
+        # representative whose value is at least M - 2B.  Overflow voids
+        # the bound, and then every representative is a candidate.
+        magnitude = {e: float(np.abs(table).max()) for e, table in powers.items()}
+        scale = sum(abs(c) * prod(magnitude[e] for e in point if e) for point, c in terms)
+        bound = (len(terms) + d + 2) * 4 * np.finfo(float).eps * scale
+        floor = rep_abs.max() - 2 * bound if np.isfinite(4 * scale) else -np.inf
+        candidates = np.flatnonzero(~(rep_abs < floor))  # NaN stays a candidate
+
+        n_perms = factorial(d)
+        if len(candidates) * n_perms <= n_points:
+            perms = np.array(list(permutations(range(d))))
+            step = max(1, _SAMPLE_CHUNK // n_perms)
+            chunks = (_orbit_points(tables, candidates[i:i + step], perms)
+                      for i in range(0, len(candidates), step))
+        else:  # the whole grid is less work than the candidates' permutations
+            chunks = (
+                np.unravel_index(np.arange(i, min(i + _SAMPLE_CHUNK, n_points)), (grid_size,) * d)
+                for i in range(0, n_points, _SAMPLE_CHUNK))
+        return float(np.max([_modulus(terms, powers, idx).max() for idx in chunks]))
 
     # -- serialization ----------------------------------------------------
 
@@ -206,6 +261,59 @@ class Symbol:
                 raise DomainError(f"malformed symbol term {term}: {exc}") from exc
             coeffs[m] = coeffs.get(m, ComplexRational(0)) + c
         return cls(d, coeffs)
+
+
+def _binomial_tables(grid_size: int, d: int) -> list[np.ndarray]:
+    """comb(x, k) for x in range(grid_size + d - 1), one table per k in 1..d."""
+    return [np.array([comb(x, k) for x in range(grid_size + d - 1)], dtype=np.int64)
+            for k in range(1, d + 1)]
+
+
+def _sorted_multisets(tables: list, ranks: np.ndarray) -> list[np.ndarray]:
+    """Coordinate index arrays of the sorted multisets i_1 <= ... <= i_d in
+    range(grid_size) with the given ranks (tables from _binomial_tables).
+
+    The multiset is the d-subset c_1 < ... < c_d of range(grid_size + d - 1)
+    with c_k = i_k + k - 1, and its rank is sum_k comb(c_k, k) (the
+    combinatorial number system), so each c_k is read off greedily from k = d.
+    """
+    idx = [None] * len(tables)
+    rest = ranks
+    for k in range(len(tables), 0, -1):
+        table = tables[k - 1]
+        c = np.searchsorted(table, rest, side="right") - 1
+        rest = rest - table[c]
+        idx[k - 1] = c - (k - 1)
+    return idx
+
+
+def _orbit_points(tables: list, ranks: np.ndarray, perms: np.ndarray) -> list[np.ndarray]:
+    """Coordinate index arrays of the sorted multisets with the given ranks,
+    each taken in every coordinate order listed in the rows of perms."""
+    points = np.stack(_sorted_multisets(tables, ranks), axis=1)[:, perms]
+    return [points[..., k].ravel() for k in range(len(tables))]
+
+
+def _modulus(terms: list, powers: dict, idx: list) -> np.ndarray:
+    """|phi| at the grid points with coordinate index arrays idx.
+
+    The operand order is fixed: terms are summed in lattice order and each
+    term is multiplied by its coordinate powers as factor * term, from the
+    first coordinate on.  Complex multiplication here is not bitwise
+    commutative, so every point is evaluated the same way in every chunk.
+    """
+    total = np.zeros(len(idx[0]), dtype=complex)
+    gathered = {}
+    for point, c in terms:
+        term = np.full(total.shape, c)
+        for k, e in enumerate(point):
+            if e:
+                factor = gathered.get((k, e))
+                if factor is None:
+                    factor = gathered[k, e] = powers[e][idx[k]]
+                term = np.multiply(factor, term)
+        total += term
+    return np.abs(total)
 
 
 def zero_symbol(d: int) -> Symbol:

@@ -8,10 +8,8 @@ tolerances inline.
 """
 
 import time
-from math import comb
 
 import numpy as np
-import pytest
 from scipy.stats import unitary_group
 
 from symtoep import (

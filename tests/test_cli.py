@@ -10,6 +10,7 @@ from scipy.stats import unitary_group
 
 from symtoep import GammaTuple, elementary, synth_gamma_unitary
 from symtoep.cli import main
+from symtoep.symbols import MAX_SAMPLE_POINTS
 
 
 @pytest.fixture()
@@ -206,6 +207,24 @@ def test_verify_lift_grid_over_the_sampling_cap_is_domain_error(selfadj_file, ca
     # 2049^2 points: just over the cap, about 70 MB per array if it were missing
     code, out, err = run_main(
         ["verify", "--suite", "lift", "--symbol", selfadj_file, "--grid", "2049"], capsys)
+    assert (code, out) == (3, "")
+    assert "domain error" in err and "sampling cap" in err
+
+
+def test_gamma_check_isometry_grid_over_the_sampling_cap_is_domain_error(
+        unitary_tuple_file, capsys, monkeypatch):
+    import symtoep.gamma as gamma
+
+    def no_enumeration(*args):
+        raise AssertionError("check-isometry enumerated the grid before checking its size")
+
+    monkeypatch.setattr(gamma, "symmetrize_point", no_enumeration)
+    # a d = 2 tuple samples a grid in d - 1 = 1 variable: one point over the cap
+    path, t = unitary_tuple_file
+    assert t.d == 2
+    code, out, err = run_main(
+        ["gamma", "check-isometry", "--tuple", path, "--grid", str(MAX_SAMPLE_POINTS + 1)],
+        capsys)
     assert (code, out) == (3, "")
     assert "domain error" in err and "sampling cap" in err
 

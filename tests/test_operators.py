@@ -8,7 +8,6 @@ place do the faster structural tests below mean anything.
 """
 
 import itertools
-import os
 from fractions import Fraction
 from math import factorial
 

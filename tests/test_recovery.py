@@ -6,7 +6,6 @@ from symtoep import (
     ComplexRational,
     MarginError,
     NotToeplitzError,
-    Partition,
     ShiftY,
     Toeplitz,
     elementary,

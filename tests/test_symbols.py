@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtoep import (
     ComplexRational,
@@ -171,6 +173,51 @@ def test_sup_norm_hand_values():
     assert unit(2).sup_norm_sampled(16) == pytest.approx(1.0, abs=1e-12)
     # |z1 + z2| peaks at 2 on the diagonal of the torus
     assert elementary(2, 1).sup_norm_sampled(64) == pytest.approx(2.0, abs=1e-3)
+
+
+def _full_grid_sup(phi: Symbol, grid_size: int) -> float:
+    """Max |phi| over every point of the grid, each product taken as factor * term."""
+    axis = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+    grids = np.meshgrid(*([axis] * phi.d), indexing="ij")
+    total = np.zeros(grids[0].shape, dtype=complex)
+    for point, c in phi.lattice_terms():
+        term = np.full(total.shape, c.to_complex())
+        for g, e in zip(grids, point):
+            if e:
+                factor = g ** e
+                term = np.multiply(factor, term)
+        total += term
+    return float(np.max(np.abs(total)))
+
+
+@st.composite
+def sampled_symbols(draw):
+    d = draw(st.sampled_from([2, 3]))
+    rep = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(
+        lambda m: tuple(sorted(m, reverse=True)))
+    part = st.fractions(-9, 9, max_denominator=7)
+    coeff = st.builds(ComplexRational, part, part)
+    return Symbol(d, draw(st.dictionaries(rep, coeff, min_size=1, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(phi=sampled_symbols(), grid_size=st.integers(3, 16))
+def test_sup_norm_equals_the_full_grid_maximum(phi, grid_size):
+    # bit for bit: sampling only orbit representatives must lose nothing
+    assert phi.sup_norm_sampled(grid_size) == _full_grid_sup(phi, grid_size)
+
+
+@pytest.mark.parametrize("phi,grid_size,expected", [
+    # z1^2/z2 + z2^2/z1 at grid 9: the sorted index pairs alone reach 2.0,
+    # while one of their transposes rounds to the full-grid maximum
+    (Symbol(2, {(2, -1): ComplexRational(1)}), 9, 2.0000000000000004),
+    # (-3/2 + 2i) z1 z2 at grid 3: |phi| = 5/2 everywhere, and the sorted
+    # point whose transpose rounds highest rounds below the orbit maximum
+    # 2.5 itself, so only the rounding bound keeps it a candidate
+    (Symbol(2, {(1, 1): ComplexRational.from_strings("-3/2", "2")}), 3, 2.5000000000000004),
+], ids=["transpose-above-orbit-max", "candidate-below-orbit-max"])
+def test_sup_norm_certifies_the_orbit_maximum(phi, grid_size, expected):
+    assert phi.sup_norm_sampled(grid_size) == _full_grid_sup(phi, grid_size) == expected
 
 
 def test_sup_norm_sampling_cap():
