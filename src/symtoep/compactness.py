@@ -55,8 +55,7 @@ class EtaReport:
         }
 
 
-def eta(T: OperatorSpec, j: int, window: Window,
-        iterations: int = 100, seed: int = 42) -> EtaReport:
+def eta(T: OperatorSpec, j: int, window: Window, seed: int = 42) -> EtaReport:
     """Conjugated block matrix (Z_a^{*j} T Z_b^j)_{a,b} on the window.
 
     Z_a is the a-th basis shift for a < d and T_p for a = d, so block
@@ -72,7 +71,7 @@ def eta(T: OperatorSpec, j: int, window: Window,
     blocks = {(a, b): MatrixWindow(window, window, assemble(T, moved[a], moved[b]).entries)
               for a in moved for b in moved}
     report = EtaReport(j, blocks, 0.0)
-    report.block_norm = norm_estimate(report.stacked_dense(), iterations, seed)
+    report.block_norm = norm_estimate(report.stacked_dense(), 100, seed)
     return report
 
 
@@ -146,7 +145,7 @@ class DecayReport:
 
 
 def commutator_decay(T: OperatorSpec, i: int, n_max: int, window: Window,
-                     iterations: int = 100, seed: int = 42) -> DecayReport:
+                     seed: int = 42) -> DecayReport:
     """Norms of T_p^{*n} [T, T_{s_i}] T_p^n on the window for n = 0..n_max.
 
     The conjugated entry at (q, p) is the exact commutator entry at
@@ -163,7 +162,7 @@ def commutator_decay(T: OperatorSpec, i: int, n_max: int, window: Window,
     commutator = Commutator(T, Toeplitz(elementary(d, i)))
     mats = [MatrixWindow(window, window, assemble(commutator, w, w).entries)
             for w in (window.shifted(n) for n in range(n_max + 1))]
-    norms = [norm_estimate(m, iterations, seed) for m in mats]
+    norms = [norm_estimate(m, 100, seed) for m in mats]
     return DecayReport(i, norms, mats, bh_residual_matrix(T, i, window))
 
 
@@ -192,7 +191,7 @@ class AsymptoticReport:
 
 
 def asymptotic_classify(phi: Symbol, K, j_max: int, window: Window,
-                        iterations: int = 100, seed: int = 42) -> AsymptoticReport:
+                        seed: int = 42) -> AsymptoticReport:
     """Three-part asymptotic-Toeplitz verdict for T = T_phi + K.
 
     (1) every conjugated commutator window is exactly zero at n = j_max,
@@ -211,7 +210,7 @@ def asymptotic_classify(phi: Symbol, K, j_max: int, window: Window,
     decay_norms = {}
     decay_ok = True
     for i in range(1, d):
-        rep = commutator_decay(T, i, j_max, window, iterations, seed)
+        rep = commutator_decay(T, i, j_max, window, seed)
         decay_norms[i] = rep.norms
         if not rep.final_exact_zero:
             decay_ok = False
@@ -224,7 +223,7 @@ def asymptotic_classify(phi: Symbol, K, j_max: int, window: Window,
         eta_norms = [0.0] * j_max
     else:
         for j in range(1, j_max + 1):
-            rep = eta(K, j, window, iterations, seed)
+            rep = eta(K, j, window, seed)
             eta_norms.append(rep.block_norm)
             if j == j_max and not rep.is_zero():
                 residual_eta_ok = False

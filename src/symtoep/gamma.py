@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,11 @@ from .errors import DegeneracyError, DomainError
 from .operators import Commutator, Laurent, Toeplitz, assemble
 from .partitions import Window, regrade, shift
 from .scalars import ONE
-from .symbols import Symbol, elementary, sample_count
+from .symbols import Symbol, elementary, torus_max
+
+
+# Largest total degree of the monomials in the Gamma_d-isometry battery.
+BATTERY_DEGREE = 3
 
 
 def _opnorm(a) -> float:
@@ -324,32 +329,33 @@ class GammaIsometryReport:
         }
 
 
-def _symmetrized_grid(dim: int, grid_size: int) -> list:
-    """Elementary symmetric images of the uniform torus grid in dim variables.
-
-    A grid over the sampling cap raises MarginError before any point is built.
-    """
-    sample_count(grid_size, dim)
-    angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    axis = np.exp(1j * angles)
-    pts = []
-    for combo in itertools.product(axis, repeat=dim):
-        pts.append(symmetrize_point(combo))
-    return pts
+def _elementary_monomial(expo) -> list:
+    """(lattice point, count) terms of prod_k e_k^{a_k} in len(expo) variables:
+    each factor e_k adds one 0/1 step vector with k ones, and equal sums are
+    merged after every factor, so the work follows the distinct points."""
+    counts = Counter({(0,) * len(expo): 1})
+    for k, a in enumerate(expo, start=1):
+        for _ in range(a):
+            grown = Counter()
+            for s in itertools.combinations(range(len(expo)), k):
+                grown.update({tuple(x + (i in s) for i, x in enumerate(point)): n
+                              for point, n in counts.items()})
+            counts = grown
+    return [(point, complex(n)) for point, n in counts.items()]
 
 
 @_double_precision_range()
-def check_gamma_isometry(t: GammaTuple, tol: float = 1e-8, poly_degree: int = 3,
+def check_gamma_isometry(t: GammaTuple, tol: float = 1e-8,
                          grid_size: int = 16) -> GammaIsometryReport:
     """Necessary checks for a gamma-isometry tuple (S_1, ..., S_{d-1}, V).
 
     Algebraic part: V is an isometry, the family commutes, and
     S_{d-i} = S_i^* V.  Spectral part: for every monomial f of total
-    degree <= poly_degree in d-1 variables, the scaled tuple
-    (gamma_i S_i) with gamma_i = (d-i)/d satisfies
-    ||f(gamma_1 S_1, ...)|| <= max over a sampled symmetrized torus grid
-    of |f| plus tol.  The battery is necessary, not sufficient, and the
-    report says so.
+    degree <= BATTERY_DEGREE in d-1 variables, the scaled tuple
+    (gamma_i S_i) with gamma_i = (d-i)/d satisfies ||f(gamma_1 S_1, ...)||
+    <= tol + max |f(e_1, ..., e_{d-1})| over the grid_size^(d-1) torus grid
+    (torus_max).  The battery is necessary, not sufficient, and the report
+    says so.
     """
     d = t.d
     mats = t.mats
@@ -368,21 +374,16 @@ def check_gamma_isometry(t: GammaTuple, tol: float = 1e-8, poly_degree: int = 3,
 
     gammas = [(d - i) / d for i in range(1, d)]
     scaled = [g * m for g, m in zip(gammas, mats[:-1])]
-    grid = _symmetrized_grid(d - 1, grid_size)
     battery = []
-    for expo in itertools.product(range(poly_degree + 1), repeat=d - 1):
-        total = sum(expo)
-        if not 1 <= total <= poly_degree:
+    for expo in itertools.product(range(BATTERY_DEGREE + 1), repeat=d - 1):
+        if not 1 <= sum(expo) <= BATTERY_DEGREE:
             continue
         op = eye
         for m, a in zip(scaled, expo):
             for _ in range(a):
                 op = op @ m
         lhs_norm = _opnorm(op)
-        grid_max = max(
-            float(np.prod([abs(x) ** a for x, a in zip(pt, expo)]))
-            for pt in grid
-        )
+        grid_max = torus_max(_elementary_monomial(expo), d - 1, grid_size)
         name = "f=" + "*".join(f"x{k + 1}^{a}" for k, a in enumerate(expo) if a)
         battery.append(CheckItem(name, lhs_norm - grid_max,
                                  lhs_norm <= grid_max + tol))

@@ -786,7 +786,7 @@ class LiftReport:
         }
 
 
-def lift_verify(phi: Symbol, windows, iterations: int = 200, seed: int = 42,
+def lift_verify(phi: Symbol, windows, seed: int = 42,
                 grid_size: int = 128, tol: float = 1e-9) -> LiftReport:
     """Compression/lift consistency of T_phi inside Laurent windows.
 
@@ -813,8 +813,8 @@ def lift_verify(phi: Symbol, windows, iterations: int = 200, seed: int = 42,
                  if q.is_analytic and p.is_analytic}
         block_ok = block == tm.keyed_entries()
         rows.append(LiftRow(w.max_top, w.min_bottom,
-                            norm_estimate(tm, iterations, seed),
-                            norm_estimate(lm, iterations, seed),
+                            norm_estimate(tm, 200, seed),
+                            norm_estimate(lm, 200, seed),
                             block_ok))
     chain_ok = all(r.toeplitz_norm <= r.laurent_norm + tol for r in rows)
     monotone_ok = all(

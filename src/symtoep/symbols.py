@@ -19,29 +19,17 @@ from .partitions import orbit_permutations
 from .scalars import ComplexRational
 
 TORUS_TOL = 1e-12
-# Largest torus grid (grid_size**d points) sup_norm_sampled accepts.  The
-# points are evaluated in chunks, so this bounds work, not memory: one
-# point per permutation orbit (about 1/d! of the grid), then at most the
-# whole grid again to certify the maximum.  The default grid of 128 fits
-# up to d = 3 (128**3 = 2**21 points) and not at d = 4.
+# Largest torus grid (grid_size**d points) torus_max accepts, so it bounds
+# both the sampled sup norm of a symbol (`lift`) and the grid maxima of the
+# Gamma_d-isometry battery.  The points are evaluated in chunks, so this
+# bounds work, not memory: one point per permutation orbit (about 1/d! of
+# the grid), then at most the whole grid again to certify the maximum.
+# The default lift grid of 128 fits up to d = 3 (128**3 = 2**21 points)
+# and not at d = 4.
 MAX_SAMPLE_POINTS = 2 ** 22
-# Torus points sup_norm_sampled evaluates at once; each of its complex
+# Torus points torus_max evaluates at once; each of its complex
 # arrays then takes 256 KiB.
 _SAMPLE_CHUNK = 2 ** 14
-
-
-def sample_count(grid_size: int, dim: int) -> int:
-    """Points of the uniform grid_size^dim torus grid.
-
-    Raises MarginError when they exceed MAX_SAMPLE_POINTS, before any
-    sampling work starts.
-    """
-    n_points = grid_size ** dim
-    if n_points > MAX_SAMPLE_POINTS:
-        raise MarginError(
-            f"a grid of {grid_size}^{dim} = {n_points} torus points "
-            f"exceeds the sampling cap of {MAX_SAMPLE_POINTS}; use a smaller grid")
-    return n_points
 
 
 def _validate_rep(m, d) -> tuple[int, ...]:
@@ -176,65 +164,13 @@ class Symbol:
         return total
 
     def sup_norm_sampled(self, grid_size: int) -> float:
-        """Max |phi| over the uniform grid_size^d torus grid.
+        """Max |phi| over the uniform grid_size^d torus grid (see torus_max).
 
         A certified lower bound on the sup norm; refining the grid to a
-        multiple of grid_size never decreases the value.  The symbol is
-        symmetric, so only the sorted index multisets (one point per
-        permutation orbit) are evaluated, in chunks of _SAMPLE_CHUNK
-        points; the permutations of the few representatives within
-        rounding distance of their maximum are then evaluated too, so the
-        result is bit for bit the maximum over the full grid.  A grid of
-        more than MAX_SAMPLE_POINTS points raises MarginError before any
-        work starts.
+        multiple of grid_size never decreases the value.
         """
-        if grid_size < 1:
-            raise DomainError("grid_size must be >= 1")
-        d = self.d
-        n_points = sample_count(grid_size, d)
-        if not self.coeffs:
-            return 0.0
         terms = [(point, c.to_complex()) for point, c in self.lattice_terms()]
-        axis = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-        powers = {e: axis ** e for point, _ in terms for e in point if e}
-
-        tables = _binomial_tables(grid_size, d)
-        n_reps = comb(grid_size + d - 1, d)
-        rep_abs = np.empty(n_reps)
-        for start in range(0, n_reps, _SAMPLE_CHUNK):
-            stop = min(start + _SAMPLE_CHUNK, n_reps)
-            rep_abs[start:stop] = _modulus(
-                terms, powers, _sorted_multisets(tables, np.arange(start, stop)))
-
-        # Certification.  Let T(x) be the exact sum over the lattice terms
-        # p of c_p * prod_k powers[p_k][x_k].  Its factors are table floats
-        # and c_p is constant on orbits, so T is exactly symmetric.  The
-        # computed modulus at x is within B = (n + d + 2) * 4 eps * S of |T(x)|,
-        # where n is the number of terms and S = sum_p |c_p| prod_k
-        # max|powers[p_k]| bounds every term and partial sum: each term
-        # takes at most d complex products (relative error below 2 eps
-        # each), the n-term sum adds at most n eps * S and the modulus
-        # 4 eps * S.  The full-grid maximum is at least the largest
-        # representative value M, so it sits at a permutation of a
-        # representative whose value is at least M - 2B.  Overflow voids
-        # the bound, and then every representative is a candidate.
-        magnitude = {e: float(np.abs(table).max()) for e, table in powers.items()}
-        scale = sum(abs(c) * prod(magnitude[e] for e in point if e) for point, c in terms)
-        bound = (len(terms) + d + 2) * 4 * np.finfo(float).eps * scale
-        floor = rep_abs.max() - 2 * bound if np.isfinite(4 * scale) else -np.inf
-        candidates = np.flatnonzero(~(rep_abs < floor))  # NaN stays a candidate
-
-        n_perms = factorial(d)
-        if len(candidates) * n_perms <= n_points:
-            perms = np.array(list(permutations(range(d))))
-            step = max(1, _SAMPLE_CHUNK // n_perms)
-            chunks = (_orbit_points(tables, candidates[i:i + step], perms)
-                      for i in range(0, len(candidates), step))
-        else:  # the whole grid is less work than the candidates' permutations
-            chunks = (
-                np.unravel_index(np.arange(i, min(i + _SAMPLE_CHUNK, n_points)), (grid_size,) * d)
-                for i in range(0, n_points, _SAMPLE_CHUNK))
-        return float(np.max([_modulus(terms, powers, idx).max() for idx in chunks]))
+        return torus_max(terms, self.d, grid_size)
 
     # -- serialization ----------------------------------------------------
 
@@ -261,6 +197,68 @@ class Symbol:
                 raise DomainError(f"malformed symbol term {term}: {exc}") from exc
             coeffs[m] = coeffs.get(m, ComplexRational(0)) + c
         return cls(d, coeffs)
+
+
+def torus_max(terms: list, d: int, grid_size: int) -> float:
+    """Max |f| over the uniform grid_size^d torus grid, f = sum c * z^point.
+
+    terms are (lattice point, complex coefficient) pairs; f must be
+    symmetric, each permutation of a point a term with the same coefficient.
+    So one point per permutation orbit (a sorted index multiset) is
+    evaluated, in chunks of _SAMPLE_CHUNK points, then every permutation of
+    each point within rounding distance of their maximum: the result is bit
+    for bit the full-grid maximum, with the terms summed in their order.  A
+    grid over MAX_SAMPLE_POINTS raises MarginError before any work starts.
+    """
+    if grid_size < 1:
+        raise DomainError("grid_size must be >= 1")
+    n_points = grid_size ** d
+    if n_points > MAX_SAMPLE_POINTS:
+        raise MarginError(
+            f"a grid of {grid_size}^{d} = {n_points} torus points "
+            f"exceeds the sampling cap of {MAX_SAMPLE_POINTS}; use a smaller grid")
+    if not terms:
+        return 0.0
+    axis = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+    powers = {e: axis ** e for point, _ in terms for e in point if e}
+
+    tables = _binomial_tables(grid_size, d)
+    n_reps = comb(grid_size + d - 1, d)
+    rep_abs = np.empty(n_reps)
+    for start in range(0, n_reps, _SAMPLE_CHUNK):
+        stop = min(start + _SAMPLE_CHUNK, n_reps)
+        rep_abs[start:stop] = _modulus(
+            terms, powers, _sorted_multisets(tables, np.arange(start, stop)))
+
+    # Certification.  Let T(x) be the exact sum over the lattice terms
+    # p of c_p * prod_k powers[p_k][x_k].  Its factors are table floats
+    # and c_p is constant on orbits, so T is exactly symmetric.  The
+    # computed modulus at x is within B = (n + d + 2) * 4 eps * S of |T(x)|,
+    # where n is the number of terms and S = sum_p |c_p| prod_k
+    # max|powers[p_k]| bounds every term and partial sum: each term
+    # takes at most d complex products (relative error below 2 eps
+    # each), the n-term sum adds at most n eps * S and the modulus
+    # 4 eps * S.  The full-grid maximum is at least the largest
+    # representative value M, so it sits at a permutation of a
+    # representative whose value is at least M - 2B.  Overflow voids
+    # the bound, and then every representative is a candidate.
+    magnitude = {e: float(np.abs(table).max()) for e, table in powers.items()}
+    scale = sum(abs(c) * prod(magnitude[e] for e in point if e) for point, c in terms)
+    bound = (len(terms) + d + 2) * 4 * np.finfo(float).eps * scale
+    floor = rep_abs.max() - 2 * bound if np.isfinite(4 * scale) else -np.inf
+    candidates = np.flatnonzero(~(rep_abs < floor))  # NaN stays a candidate
+
+    n_perms = factorial(d)
+    if len(candidates) * n_perms <= n_points:
+        perms = np.array(list(permutations(range(d))))
+        step = max(1, _SAMPLE_CHUNK // n_perms)
+        chunks = (_orbit_points(tables, candidates[i:i + step], perms)
+                  for i in range(0, len(candidates), step))
+    else:  # the whole grid is less work than the candidates' permutations
+        chunks = (
+            np.unravel_index(np.arange(i, min(i + _SAMPLE_CHUNK, n_points)), (grid_size,) * d)
+            for i in range(0, n_points, _SAMPLE_CHUNK))
+    return float(np.max([_modulus(terms, powers, idx).max() for idx in chunks]))
 
 
 def _binomial_tables(grid_size: int, d: int) -> list[np.ndarray]:

@@ -213,12 +213,12 @@ def test_verify_lift_grid_over_the_sampling_cap_is_domain_error(selfadj_file, ca
 
 def test_gamma_check_isometry_grid_over_the_sampling_cap_is_domain_error(
         unitary_tuple_file, capsys, monkeypatch):
-    import symtoep.gamma as gamma
+    import symtoep.symbols as symbols
 
-    def no_enumeration(*args):
-        raise AssertionError("check-isometry enumerated the grid before checking its size")
+    def no_evaluation(*args):
+        raise AssertionError("check-isometry evaluated grid points before checking the grid size")
 
-    monkeypatch.setattr(gamma, "symmetrize_point", no_enumeration)
+    monkeypatch.setattr(symbols, "_modulus", no_evaluation)
     # a d = 2 tuple samples a grid in d - 1 = 1 variable: one point over the cap
     path, t = unitary_tuple_file
     assert t.d == 2

@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of the verify suites and a gamma check, pinned to stored reports.
+"""Byte-for-byte stdout of the verify suites and two gamma checks, pinned to stored reports.
 
 The reports in tests/golden fix every byte, config block included, so
 the symbol and tuple files are passed by relative paths from a fresh
@@ -30,6 +30,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("lift", ["verify", "--suite", "lift", "--symbol", "phi.json"], 0),
     ("gamma_check_unitary", ["gamma", "check-unitary", "--tuple", "tuple.json"], 0),
     ("lift_d3", ["verify", "--suite", "lift", "--symbol", "phi3.json"], 0),
+    ("gamma_check_isometry", ["gamma", "check-isometry", "--tuple", "tuple.json"], 0),
 ])
 def test_verify_stdout_matches_golden(name, argv, code, tmp_path, monkeypatch, capsys):
     for source in ("phi.json", "phi3.json", "tuple.json"):

@@ -1,5 +1,7 @@
 """Symmetrized-polydisk membership, tuple checkers, and the relation solver."""
 
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -182,6 +184,28 @@ def test_isometry_battery_accepts_gamma_unitary():
     t = synth_gamma_unitary(us)
     report = check_gamma_isometry(t)
     assert report.passed
+
+
+def _old_grid_max(expo, grid_size: int) -> float:
+    """prod_k |x_k|^{a_k} maximized over symmetrize_point of every grid point."""
+    axis = np.exp(1j * (2.0 * np.pi * np.arange(grid_size) / grid_size))
+    return max(float(np.prod([abs(x) ** a for x, a in zip(symmetrize_point(zs), expo)]))
+               for zs in itertools.product(axis, repeat=len(expo)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("grid_size", range(3, 9))
+def test_isometry_battery_grid_maxima_match_the_pointwise_grid(d, grid_size):
+    # S_i = 0 makes every battery margin 0 - (grid maximum) exactly
+    t = GammaTuple(d, (np.zeros((1, 1)),) * (d - 1) + (np.eye(1),))
+    items = check_gamma_isometry(t, grid_size=grid_size).battery_items
+    expos = [e for e in itertools.product(range(gamma.BATTERY_DEGREE + 1), repeat=d - 1)
+             if 1 <= sum(e) <= gamma.BATTERY_DEGREE]
+    assert len(items) == len(expos)
+    for item, expo in zip(items, expos):
+        assert item.name == "f=" + "*".join(f"x{k + 1}^{a}" for k, a in enumerate(expo) if a)
+        want = _old_grid_max(expo, grid_size)
+        assert abs(-item.margin - want) <= 8 * math.ulp(want), (item.name, item.margin, want)
 
 
 def test_s_toeplitz_solver_hand_pair():

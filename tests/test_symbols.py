@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symtoep import (
@@ -15,13 +15,16 @@ from symtoep import (
     DomainError,
     MarginError,
     Symbol,
+    check_gamma_isometry,
     combine,
     elementary,
     multiply,
+    synth_gamma_unitary,
     unit,
     zero_symbol,
 )
-from symtoep.symbols import MAX_SAMPLE_POINTS
+from symtoep.gamma import _elementary_monomial
+from symtoep.symbols import MAX_SAMPLE_POINTS, torus_max
 from conftest import symbol_battery
 
 
@@ -175,19 +178,25 @@ def test_sup_norm_hand_values():
     assert elementary(2, 1).sup_norm_sampled(64) == pytest.approx(2.0, abs=1e-3)
 
 
-def _full_grid_sup(phi: Symbol, grid_size: int) -> float:
-    """Max |phi| over every point of the grid, each product taken as factor * term."""
+def _full_grid_sup(terms, d: int, grid_size: int) -> float:
+    """Max |f| over every point of the grid, f given by (lattice point, complex
+    coefficient) terms summed in order, each product taken as factor * term."""
     axis = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    grids = np.meshgrid(*([axis] * phi.d), indexing="ij")
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
     total = np.zeros(grids[0].shape, dtype=complex)
-    for point, c in phi.lattice_terms():
-        term = np.full(total.shape, c.to_complex())
+    for point, c in terms:
+        term = np.full(total.shape, c)
         for g, e in zip(grids, point):
             if e:
                 factor = g ** e
                 term = np.multiply(factor, term)
         total += term
     return float(np.max(np.abs(total)))
+
+
+def _symbol_sup(phi: Symbol, grid_size: int) -> float:
+    terms = [(point, c.to_complex()) for point, c in phi.lattice_terms()]
+    return _full_grid_sup(terms, phi.d, grid_size)
 
 
 @st.composite
@@ -204,7 +213,7 @@ def sampled_symbols(draw):
 @given(phi=sampled_symbols(), grid_size=st.integers(3, 16))
 def test_sup_norm_equals_the_full_grid_maximum(phi, grid_size):
     # bit for bit: sampling only orbit representatives must lose nothing
-    assert phi.sup_norm_sampled(grid_size) == _full_grid_sup(phi, grid_size)
+    assert phi.sup_norm_sampled(grid_size) == _symbol_sup(phi, grid_size)
 
 
 @pytest.mark.parametrize("phi,grid_size,expected", [
@@ -217,7 +226,7 @@ def test_sup_norm_equals_the_full_grid_maximum(phi, grid_size):
     (Symbol(2, {(1, 1): ComplexRational.from_strings("-3/2", "2")}), 3, 2.5000000000000004),
 ], ids=["transpose-above-orbit-max", "candidate-below-orbit-max"])
 def test_sup_norm_certifies_the_orbit_maximum(phi, grid_size, expected):
-    assert phi.sup_norm_sampled(grid_size) == _full_grid_sup(phi, grid_size) == expected
+    assert phi.sup_norm_sampled(grid_size) == _symbol_sup(phi, grid_size) == expected
 
 
 def test_sup_norm_sampling_cap():
@@ -229,6 +238,28 @@ def test_sup_norm_sampling_cap():
         elementary(2, 1).sup_norm_sampled(grid)
     with pytest.raises(DomainError):
         elementary(2, 1).sup_norm_sampled(0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(expo=st.integers(1, 3).flatmap(
+           lambda dim: st.lists(st.integers(0, 3), min_size=dim, max_size=dim)).filter(any),
+       grid_size=st.integers(3, 16))
+@example(expo=[0, 0, 1], grid_size=13)
+def test_torus_max_of_a_battery_monomial_equals_the_full_grid_maximum(expo, grid_size):
+    # prod_k e_k^{a_k} in dim = 1..3 variables, as the Gamma_d-isometry
+    # battery samples it; dim = 1 is below the smallest symbol dimension.
+    # The example z1 z2 z3 at grid 13 reads 1.0000000000000002 on the orbit
+    # representatives and 1.0000000000000004 on the full grid.
+    terms = _elementary_monomial(expo)
+    dim = len(expo)
+    assert torus_max(terms, dim, grid_size) == _full_grid_sup(terms, dim, grid_size)
+
+
+@pytest.mark.parametrize("grid_size", [0, -3])
+def test_gamma_check_isometry_grid_below_one_is_domain_error(grid_size):
+    t = synth_gamma_unitary([np.eye(2), -np.eye(2)])
+    with pytest.raises(DomainError, match="grid_size"):
+        check_gamma_isometry(t, grid_size=grid_size)
 
 
 def test_json_round_trip():
