@@ -8,10 +8,17 @@ analytic subspace is spanned by tuples whose last entry is >= 0.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import DomainError
+from .errors import DomainError, MarginError
+
+# Largest window enumerate_window builds, counted in members before any is
+# made: about 40 MB of partitions and index at d = 3.  The largest window
+# the tests, the CLI goldens and the benchmark workloads build is
+# enumerate_window(3, 7, -7), 455 members, in a d = 3 lift_verify test.
+MAX_WINDOW_MEMBERS = 2 ** 18
 
 
 class Partition(tuple):
@@ -164,11 +171,18 @@ class Window:
 def enumerate_window(d: int, max_top: int, min_bottom: int) -> Window:
     """All strict partitions with entries in [min_bottom, max_top].
 
-    A range narrower than d values yields an empty window.
+    A range narrower than d values yields an empty window.  A window of
+    more than MAX_WINDOW_MEMBERS members raises MarginError before any
+    member is built.
     """
     if d < 2:
         raise DomainError("windows need d >= 2")
     values = range(min_bottom, max_top + 1)
+    size = math.comb(len(values), d)
+    if size > MAX_WINDOW_MEMBERS:
+        raise MarginError(
+            f"a window of C({len(values)}, {d}) = {size} members exceeds the "
+            f"window cap of {MAX_WINDOW_MEMBERS}; use a narrower window")
     members = [
         Partition._unsafe(tuple(sorted(c, reverse=True)))
         for c in itertools.combinations(values, d)

@@ -7,6 +7,7 @@ able to wrap and restore every span it names.
 
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,38 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert tracer.spans["operators.bh_residuals"][0] == 1
     assert tracer.spans["operators.bh_residual_column"][0] == 2 * len(window)
     assert {name: current(*where) for name, *where in tracing.SPANS} == before
+
+
+def test_tracer_counts_each_scalar_op_once(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    cls = symtoep.ComplexRational
+    assert [name for name in tracing._SCALAR_OPS if name not in cls.__dict__] == []
+    before = {name: cls.__dict__[name] for name in tracing._SCALAR_OPS}
+    z, w = cls(Fraction(1, 2), 3), cls(Fraction(-2, 3), Fraction(1, 4))
+    # one public op each, with every operand kind it accepts; none may
+    # reach another counted op, or scalars.ops would count it twice
+    ops = [lambda: z + w, lambda: z + 1, lambda: 1 + z, lambda: Fraction(1, 3) + z,
+           lambda: z - w, lambda: z - 1, lambda: 1 - z, lambda: Fraction(1, 3) - z,
+           lambda: z * w, lambda: z * 2, lambda: 2 * z, lambda: Fraction(1, 3) * z,
+           lambda: -z]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(cls.__dict__[name] is not before[name] for name in tracing._SCALAR_OPS)
+        counts = []
+        for op in ops:
+            start = tracer.counts["scalars.ops"]
+            tracer.run_check(op)
+            counts.append(tracer.counts["scalars.ops"] - start)
+        start = tracer.counts["scalars.ops"]
+        window = symtoep.analytic_window(2, 3)
+        tracer.run_check(lambda: symtoep.bh_residuals(
+            symtoep.Toeplitz(symtoep.elementary(2, 1)), window))
+        traced_check = tracer.counts["scalars.ops"] - start
+    finally:
+        tracer.uninstall()
+    assert counts == [1] * len(ops)
+    assert traced_check > 0
+    assert {name: cls.__dict__[name] for name in tracing._SCALAR_OPS} == before

@@ -229,6 +229,24 @@ def test_gamma_check_isometry_grid_over_the_sampling_cap_is_domain_error(
     assert "domain error" in err and "sampling cap" in err
 
 
+def test_verify_window_over_the_cap_is_domain_error(selfadj_file, capsys, monkeypatch):
+    import types
+
+    import symtoep.partitions as partitions
+
+    def no_enumeration(*args):
+        raise AssertionError("verify enumerated a window before checking its size")
+
+    monkeypatch.setattr(partitions, "itertools", types.SimpleNamespace(combinations=no_enumeration))
+    # C(100001, 2), about 5 * 10^9 window members
+    code, out, err = run_main(
+        ["verify", "--suite", "brown-halmos", "--symbol", selfadj_file, "--maxtop", "100000"],
+        capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error:") and "window cap" in err
+    assert "Traceback" not in err
+
+
 def test_matrix_negative_maxtop_is_input_error(s1_file, capsys):
     code, out, err = run_main(
         ["matrix", "--kind", "toeplitz", "--symbol", s1_file,

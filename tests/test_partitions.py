@@ -3,10 +3,13 @@
 import itertools
 import random
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
+import symtoep.partitions as partitions
 from symtoep import (
+    MarginError,
     Partition,
     analytic_window,
     antisymmetrize,
@@ -117,6 +120,31 @@ def test_empty_windows():
     assert len(enumerate_window(2, 0, 0)) == 0
     assert len(enumerate_window(3, 1, 0)) == 0
     assert len(analytic_window(2, 0)) == 0
+
+
+def _no_enumeration(monkeypatch):
+    def combinations(*args):
+        raise AssertionError("enumerate_window enumerated a window over the cap")
+
+    monkeypatch.setattr(partitions, "itertools", SimpleNamespace(combinations=combinations))
+
+
+def test_window_cap_counts_before_enumerating(monkeypatch):
+    _no_enumeration(monkeypatch)
+    # about 5 * 10^9 and 4.2 * 10^10 members: never built
+    with pytest.raises(MarginError, match="window cap"):
+        analytic_window(2, 100000)
+    with pytest.raises(MarginError, match="window cap"):
+        enumerate_window(4, 1000, 0)
+
+
+def test_window_cap_boundary(monkeypatch):
+    monkeypatch.setattr(partitions, "MAX_WINDOW_MEMBERS", comb(10, 3))
+    assert len(enumerate_window(3, 9, 0)) == comb(10, 3)
+    with pytest.raises(MarginError, match="C\\(11, 3\\) = 165"):
+        enumerate_window(3, 10, 0)
+    # a range below min_bottom holds no values, so the count is 0, not an error
+    assert len(enumerate_window(3, -5, 0)) == 0
 
 
 def test_shift_and_regrade_round_trip():

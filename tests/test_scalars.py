@@ -174,3 +174,52 @@ def test_comparison_and_serialization_match_fraction_pairs(x, y):
     assert bool(x) == (a != (0, 0))
     assert x.rational_strings() == (str(a[0]), str(a[1]))
     assert x.to_complex() == complex(a[0]) + 1j * complex(a[1])
+
+
+# -- one value, one form -------------------------------------------------------
+#
+# A scalar is stored as (a + b*i)/n in lowest terms, so two routes to one
+# value must land on the same stored form: equal under ==, with equal
+# hashes.  The operands mix denominators 2..12 and are built from ints,
+# Fractions and strings.
+
+mixed_fractions = hst.builds(Fraction, hst.integers(-60, 60), hst.integers(2, 12))
+mixed_parts = hst.one_of(hst.integers(-9, 9), mixed_fractions, mixed_fractions.map(str))
+mixed = hst.builds(ComplexRational, mixed_parts, mixed_parts)
+
+
+def _same(u, v) -> bool:
+    return u == v and v == u and hash(u) == hash(v)
+
+
+@DIFFERENTIAL
+@given(x=mixed, y=mixed, z=mixed)
+def test_routes_to_one_value_agree(x, y, z):
+    assert _same((x + y) - y, x)
+    assert _same(y - (y - x), x)
+    assert _same(x * y, y * x)
+    assert _same((x * y) * z, x * (y * z))
+    assert _same(x * (y + z), x * y + x * z)
+    assert _same((x * y) - (x * y), ComplexRational(0))
+
+
+@DIFFERENTIAL
+@given(x=mixed, z=mixed, part=mixed_parts)
+def test_mixed_inputs_reach_the_stored_form(x, z, part):
+    # an int, Fraction or string operand lands where its scalar would
+    value = ComplexRational(part)
+    assert _same(x + part, x + value)
+    assert _same(x - part, x - value)
+    assert _same(ComplexRational(Fraction(part), 0) + z, value + z)
+    assert _same(ComplexRational(str(x.re), str(x.im)), x)
+
+
+@DIFFERENTIAL
+@given(z=mixed, f=mixed_fractions)
+def test_fraction_left_operand_matches_fraction_pairs(z, f):
+    a, third = _ref(z), (Fraction(1, 3), Fraction(0))
+    assert _agrees(Fraction(1, 3) * z, _ref_mul(third, a))
+    assert _agrees(Fraction(1, 3) - z, _ref_add(third, (-a[0], -a[1])))
+    assert _agrees(Fraction(1, 3) + z, _ref_add(third, a))
+    assert _agrees(f * z, _ref_mul((f, Fraction(0)), a))
+    assert _agrees(f - z, _ref_add((f, Fraction(0)), (-a[0], -a[1])))
