@@ -19,6 +19,7 @@ from .operators import (
     OperatorSpec,
     OpSum,
     Toeplitz,
+    _distinguished,
     assemble,
     bh_residual_matrix,
     bh_residuals,
@@ -26,7 +27,7 @@ from .operators import (
 )
 from .partitions import Partition, Window, shift
 from .scalars import ONE
-from .symbols import Symbol, elementary
+from .symbols import Symbol
 
 
 @dataclass
@@ -159,11 +160,13 @@ def commutator_decay(T: OperatorSpec, i: int, n_max: int, window: Window,
         raise DomainError("n_max must be >= 0")
     if window.d != d:
         raise DomainError("window dimension mismatch")
-    commutator = Commutator(T, Toeplitz(elementary(d, i)))
+    # the commutator and the residual share the analytic tuple's column caches
+    analytic_tuple = _distinguished(d, True)
+    commutator = Commutator(T, analytic_tuple[0][i - 1])
     mats = [MatrixWindow(window, window, assemble(commutator, w, w).entries)
             for w in (window.shifted(n) for n in range(n_max + 1))]
     norms = [norm_estimate(m, 100, seed) for m in mats]
-    return DecayReport(i, norms, mats, bh_residual_matrix(T, i, window))
+    return DecayReport(i, norms, mats, bh_residual_matrix(T, i, window, {True: analytic_tuple}))
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DegeneracyError, DomainError
+from .errors import DegeneracyError, DomainError, MarginError
 from .operators import Commutator, Laurent, Toeplitz, assemble
 from .partitions import Window, regrade, shift
 from .scalars import ONE
@@ -24,6 +24,11 @@ from .symbols import Symbol, elementary, torus_max
 
 # Largest total degree of the monomials in the Gamma_d-isometry battery.
 BATTERY_DEGREE = 3
+# Largest SVD s_toeplitz_solve takes, counted as the (d*n^2)^2 entries of
+# its U factor before any block is built: 64 MB of complex entries, so
+# 32x32 matrices fit at d = 2.  The largest system the tests, the CLI
+# goldens and the benchmark workloads solve has 729 entries (d = 3, n = 3).
+MAX_SOLVE_ENTRIES = 2 ** 22
 
 
 def _opnorm(a) -> float:
@@ -399,12 +404,19 @@ def s_toeplitz_solve(t: GammaTuple, tol: float = 1e-9) -> list:
 
     The intertwining constraints are vectorized row-major
     (vec(A X B) = (A kron B^T) vec X) and the joint nullspace is read off
-    an SVD with relative cutoff tol.
+    an SVD with relative cutoff tol.  A system whose full SVD would hold
+    more than MAX_SOLVE_ENTRIES entries raises MarginError before any
+    block is built.
     """
     d = t.d
     mats = t.mats
     v = mats[-1]
     n = t.size
+    entries = (d * n * n) ** 2
+    if entries > MAX_SOLVE_ENTRIES:
+        raise MarginError(
+            f"solving {d} blocks of size {n * n}x{n * n} needs an SVD of {entries} "
+            f"entries, over the solver cap of {MAX_SOLVE_ENTRIES}; use smaller matrices")
     blocks = []
     eye = np.eye(n)
     for i in range(1, d):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -31,11 +31,12 @@ from .partitions import (
     Window,
     analytic_window,
     antisymmetrize,
+    orbit_permutations,
     shift,
     signed_index_permutations,
 )
 from .scalars import ONE, ComplexRational
-from .symbols import Symbol, elementary, multiply
+from .symbols import Symbol, multiply
 
 
 def _as_partition(p) -> Partition:
@@ -99,7 +100,8 @@ class OperatorSpec:
         acc: dict = {}
         for p, v in vec.items():
             for q, c in self.column(p).items():
-                w = c * v
+                # the coordinate multipliers' coefficients are all ONE
+                w = v if c is ONE else c if v is ONE else c * v
                 cur = acc.get(q)
                 acc[q] = w if cur is None else cur + w
         return {k: v for k, v in acc.items() if v}
@@ -227,6 +229,48 @@ class ShiftY(OperatorSpec):
 
     def __repr__(self):
         return f"ShiftY(d={self.d}, j={self.j})"
+
+
+class _CoordinateStep(OperatorSpec):
+    """T_{s_i} (sign 1) or T_{conj s_i} (sign -1) in closed form on one side.
+
+    For strict p and a 0/1 vector e with i ones, p + e and p - e are
+    non-increasing: strict, with coefficient exactly +1 and no reordering,
+    or with a tie, where the term vanishes.  So the image of e_p is the sum
+    of e_{p + sign*e} over the steps that keep the index strict and on the
+    side, every coefficient the shared ONE.  On the analytic side this is
+    Toeplitz of s_i or conj s_i, on the non-analytic side DualToeplitz of
+    the same symbol.
+    """
+
+    def __init__(self, d: int, i: int, sign: int, analytic: bool):
+        self.d = d
+        self.analytic = analytic
+        # the symbol's lattice points, in its lattice_terms order
+        rep = (1,) * i + (0,) * (d - i) if sign > 0 else (0,) * (d - i) + (-1,) * i
+        # a step's mask has bit k < d-1 when it would tie p_k and p_{k+1}
+        # across a gap of 1, and bit d-1 when it moves the last entry, which
+        # leaves the side from the edge value: 0 moving down on the analytic
+        # side, -1 moving up on the other
+        self._steps = []
+        for s in orbit_permutations(rep):
+            ties = sum(1 << k for k in range(d - 1) if s[k] - s[k + 1] == -1)
+            self._steps.append((s, ties | (s[-1] != 0) << (d - 1)))
+        self._edge = None if (sign > 0) == analytic else (0 if analytic else -1)
+
+    def accepts_row(self, q: Partition) -> bool:
+        return q.is_analytic == self.analytic
+
+    accepts_col = accepts_row
+
+    def _image(self, p: Partition) -> dict:
+        d = self.d
+        blocked = (p[-1] == self._edge) << (d - 1)
+        for k in range(d - 1):
+            if p[k] - p[k + 1] == 1:
+                blocked |= 1 << k
+        return {Partition._unsafe(tuple(map(add, p, s))): ONE
+                for s, mask in self._steps if not blocked & mask}
 
 
 class FiniteRank(OperatorSpec):
@@ -419,14 +463,6 @@ def matrix_from_columns(columns: dict, rows: Window, cols: Window) -> MatrixWind
 # -- Brown-Halmos residuals ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _coordinate_symbols(d: int) -> tuple[tuple[Symbol, ...], tuple[Symbol, ...]]:
-    # one (s_i, conj s_i) set per d: symbols are never mutated, and sharing
-    # them shares their cached lattice terms across residual calls
-    s = tuple(elementary(d, i) for i in range(1, d + 1))
-    return s, tuple(x.conjugate() for x in s)
-
-
 def _distinguished(d: int, analytic: bool) -> tuple[list, list]:
     """The distinguished tuple (Z_1, ..., Z_d) of one side, and its adjoints.
 
@@ -434,9 +470,9 @@ def _distinguished(d: int, analytic: bool) -> tuple[list, list]:
     side: Z_i = DT_{conj s_i} with adjoint DT_{s_i}.  Z_d moves every index
     along the diagonal, up on the analytic side and down on the other.
     """
-    s, s_bar = _coordinate_symbols(d)
-    kind, z, z_adj = (Toeplitz, s, s_bar) if analytic else (DualToeplitz, s_bar, s)
-    return [kind(x) for x in z], [kind(x) for x in z_adj]
+    up = [_CoordinateStep(d, i, 1, analytic) for i in range(1, d + 1)]
+    down = [_CoordinateStep(d, i, -1, analytic) for i in range(1, d + 1)]
+    return (up, down) if analytic else (down, up)
 
 
 def bh_residual_column(T: OperatorSpec, i: int, p, _tuple=None) -> dict:
@@ -482,7 +518,7 @@ def bh_residual_entry(T: OperatorSpec, i: int, q, p, _tuple=None) -> ComplexRati
     z, _ = _tuple or _distinguished(d, p.is_analytic)
     total = ComplexRational(0)
     for r, c in z[i - 1].column(q).items():
-        # coefficients are +-1, so conjugation is the identity
+        # coefficients are exactly +1, so conjugation is the identity
         total = total + c * T.entry(r, p1)
     for t, c in z[d - i - 1].column(p).items():
         total = total - c * T.entry(q, t)
@@ -499,18 +535,23 @@ def bh_residuals(T: OperatorSpec, window: Window) -> list[MatrixWindow]:
     """
     if window.d != T.d:
         raise DomainError("window dimension does not match operator")
-    if len({p.is_analytic for p in window}) > 1:
+    sides = {p.is_analytic for p in window}
+    if len(sides) > 1:
         raise DomainError("Brown-Halmos residuals need a window on one side of the model")
-    return [bh_residual_matrix(T, i, window) for i in range(1, T.d + 1)]
+    tuples = {side: _distinguished(T.d, side) for side in sides}
+    return [bh_residual_matrix(T, i, window, tuples) for i in range(1, T.d + 1)]
 
 
-def bh_residual_matrix(T: OperatorSpec, i: int, window: Window) -> MatrixWindow:
+def bh_residual_matrix(T: OperatorSpec, i: int, window: Window, _tuples=None) -> MatrixWindow:
     """The i-th residual matrix of T on the window (exact).
 
     Its rows widen to the columns' support when it vanishes on the window
     alone, so that a thin window keeps the witness of a non-Toeplitz T.
+    ``_tuples`` maps each side the window touches to its
+    ``_distinguished`` pair, passed in by callers that share their caches.
     """
-    tuples = {side: _distinguished(T.d, side) for side in {p.is_analytic for p in window}}
+    tuples = _tuples or {side: _distinguished(T.d, side)
+                         for side in {p.is_analytic for p in window}}
     columns = {p: bh_residual_column(T, i, p, tuples[p.is_analytic]) for p in window}
     m = matrix_from_columns(columns, window, window)
     if m.is_zero() and any(columns.values()):

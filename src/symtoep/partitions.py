@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
@@ -72,9 +73,37 @@ def antisymmetrize(t: Iterable[int]) -> SignedPartition:
     return SignedPartition(-1 if inversions & 1 else 1, Partition._unsafe(srt))
 
 
+def orbit_size(m: Iterable[int]) -> int:
+    """Number of distinct permutations of a tuple: d! / prod(mult!)."""
+    m = tuple(m)
+    total = math.factorial(len(m))
+    for count in Counter(m).values():
+        total //= math.factorial(count)
+    return total
+
+
 def orbit_permutations(m: Iterable[int]) -> list[tuple[int, ...]]:
-    """Distinct permutations of a tuple, in descending lexicographic order."""
-    return sorted(set(itertools.permutations(tuple(m))), reverse=True)
+    """Distinct permutations of a tuple, in descending lexicographic order.
+
+    Each is made once, by stepping to the previous permutation in
+    lexicographic order from the descending sort, so repeated entries
+    cost nothing.
+    """
+    a = sorted(m, reverse=True)
+    n = len(a)
+    out = [tuple(a)]
+    while True:
+        k = n - 2
+        while k >= 0 and a[k] <= a[k + 1]:
+            k -= 1
+        if k < 0:
+            return out
+        j = n - 1
+        while a[j] >= a[k]:
+            j -= 1
+        a[k], a[j] = a[j], a[k]
+        a[k + 1:] = a[:k:-1]
+        out.append(tuple(a))
 
 
 @lru_cache(maxsize=None)

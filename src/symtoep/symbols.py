@@ -15,7 +15,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .errors import DomainError, MarginError
-from .partitions import orbit_permutations
+from .partitions import orbit_permutations, orbit_size
 from .scalars import ComplexRational
 
 TORUS_TOL = 1e-12
@@ -27,6 +27,13 @@ TORUS_TOL = 1e-12
 # The default lift grid of 128 fits up to d = 3 (128**3 = 2**21 points)
 # and not at d = 4.
 MAX_SAMPLE_POINTS = 2 ** 22
+# Largest orbit expansion lattice_terms builds, counted as the sum of
+# d!/prod(mult!) over the orbit representatives before any point is made:
+# about 12 MB of terms at d = 8, where one orbit of distinct entries
+# (8! = 40,320 points) fits and one at d = 9 does not.  The largest
+# expansion the tests, the CLI goldens and the benchmark workloads build
+# has 189 points (a random d = 3 symbol).
+MAX_LATTICE_TERMS = 2 ** 16
 # Torus points torus_max evaluates at once; each of its complex
 # arrays then takes 256 KiB.
 _SAMPLE_CHUNK = 2 ** 14
@@ -70,6 +77,11 @@ class Symbol:
     def lattice_terms(self) -> list[tuple[tuple[int, ...], ComplexRational]]:
         """All (lattice point, coefficient) pairs of the orbit expansion."""
         if self._lattice is None:
+            count = sum(orbit_size(rep) for rep in self.coeffs)
+            if count > MAX_LATTICE_TERMS:
+                raise MarginError(
+                    f"the symbol's orbits hold {count} lattice points, over the "
+                    f"lattice cap of {MAX_LATTICE_TERMS}")
             terms = []
             for rep, c in self.coeffs.items():
                 for point in orbit_permutations(rep):

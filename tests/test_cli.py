@@ -247,6 +247,40 @@ def test_verify_window_over_the_cap_is_domain_error(selfadj_file, capsys, monkey
     assert "Traceback" not in err
 
 
+def test_verify_symbol_over_the_lattice_cap_is_domain_error(tmp_path, capsys, monkeypatch):
+    import symtoep.symbols as symbols
+
+    def no_enumeration(*args):
+        raise AssertionError("verify enumerated an orbit expansion before counting it")
+
+    monkeypatch.setattr(symbols, "orbit_permutations", no_enumeration)
+    # one d = 12 orbit of 12! points
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"d": 12, "terms": [
+        {"m": list(range(11, -1, -1)), "re": "1", "im": "0"}]}))
+    code, out, err = run_main(
+        ["verify", "--suite", "brown-halmos", "--symbol", str(path), "--maxtop", "12"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error:") and "lattice cap" in err
+
+
+def test_gamma_solve_over_the_solver_cap_is_domain_error(tmp_path, capsys, monkeypatch):
+    import symtoep.gamma as gamma
+
+    def no_blocks(*args):
+        raise AssertionError("solve-toeplitz built a block before counting the system")
+
+    monkeypatch.setattr(gamma.np, "kron", no_blocks)
+    # d = 2 and 33 x 33 matrices: an SVD of (2 * 33^2)^2, about 4.7 * 10^6 entries
+    n = 33
+    t = GammaTuple(2, (np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(t.to_json_dict()))
+    code, out, err = run_main(["gamma", "solve-toeplitz", "--tuple", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error:") and "solver cap" in err
+
+
 def test_matrix_negative_maxtop_is_input_error(s1_file, capsys):
     code, out, err = run_main(
         ["matrix", "--kind", "toeplitz", "--symbol", s1_file,

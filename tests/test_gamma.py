@@ -14,6 +14,7 @@ from symtoep import (
     DomainError,
     GammaTuple,
     Laurent,
+    MarginError,
     Toeplitz,
     analytic_window,
     check_gamma_isometry,
@@ -214,6 +215,17 @@ def test_s_toeplitz_solver_hand_pair():
     basis = s_toeplitz_solve(t)
     assert len(basis) == 2
     assert kron_nullspace_dimension(list(t.mats)) == 2
+
+
+def test_s_toeplitz_solver_cap_boundary(monkeypatch):
+    t = GammaTuple(2, (np.diag([2.0, 0.0]).astype(complex),
+                       np.diag([1.0, -1.0]).astype(complex)))
+    # two blocks of 4 x 4: a full SVD of (2 * 4)^2 = 64 entries
+    monkeypatch.setattr(gamma, "MAX_SOLVE_ENTRIES", 64)
+    assert len(s_toeplitz_solve(t)) == 2
+    monkeypatch.setattr(gamma, "MAX_SOLVE_ENTRIES", 63)
+    with pytest.raises(MarginError, match="64 entries.*solver cap"):
+        s_toeplitz_solve(t)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -30,6 +30,8 @@ from symtoep import (
     enumerate_window,
     unit,
 )
+from symtoep.operators import _distinguished
+from symtoep.scalars import ONE
 from conftest import compose_columns, symbol_battery
 
 
@@ -142,6 +144,26 @@ def test_apply_matches_entries(d):
                 assert col.get(q, ComplexRational(0)) == op.entry(q, p)
             # the column support is exactly the nonzero entries
             assert all(v for v in col.values())
+
+
+def test_apply_with_a_unit_factor_is_the_same_dict():
+    """apply skips products by the shared ONE; the result is that of c * 1."""
+    c = ComplexRational(Fraction(3, 7), Fraction(-1, 2))
+    phi = symbol_battery(3)[4].scaled(c)
+    vec = {Partition((3, 1, 0)): c, Partition((4, 2, 1)): ComplexRational(2, -1)}
+    window = analytic_window(3, 5)
+    # a unit vector factor: the shared ONE against a fresh 1
+    for p in window:
+        shared = Toeplitz(phi).apply({p: ONE})
+        fresh = Toeplitz(phi).apply({p: ComplexRational(1)})
+        assert shared == fresh and list(shared) == list(fresh)
+        assert [hash(v) for v in shared.values()] == [hash(v) for v in fresh.values()]
+    # unit column factors: the closed-form T_{s_i} against the symbol kernel's
+    for i in range(1, 4):
+        shared = _distinguished(3, True)[0][i - 1].apply(vec)
+        fresh = Toeplitz(elementary(3, i)).apply(vec)
+        assert shared == fresh and list(shared) == list(fresh)
+        assert [hash(v) for v in shared.values()] == [hash(v) for v in fresh.values()]
 
 
 def test_hand_entries_dimension_two():

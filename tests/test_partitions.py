@@ -6,8 +6,11 @@ from math import comb
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symtoep.partitions as partitions
+from symtoep.partitions import orbit_size
 from symtoep import (
     MarginError,
     Partition,
@@ -81,6 +84,25 @@ def test_orbit_permutations():
     assert perms == sorted(set(itertools.permutations((1, 1, 0))), reverse=True)
     assert len(orbit_permutations((2, 1, 0))) == 6
     assert len(orbit_permutations((1, 1, 1))) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=st.lists(st.integers(-2, 2), max_size=6).map(tuple))
+def test_orbit_permutations_are_the_distinct_permutations_in_order(m):
+    # torus_max sums lattice terms in this order, so it is part of the contract
+    assert orbit_permutations(m) == sorted(set(itertools.permutations(m)), reverse=True)
+    assert orbit_size(m) == len(orbit_permutations(m))
+
+
+def test_orbit_permutations_skip_repeated_entries(monkeypatch):
+    def permutations(*args):
+        raise AssertionError("orbit_permutations went through every permutation")
+
+    monkeypatch.setattr(itertools, "permutations", permutations)
+    # 12 distinct orderings among 12! = 479001600 permutations
+    perms = orbit_permutations((1,) + (0,) * 11)
+    assert perms == [(0,) * k + (1,) + (0,) * (11 - k) for k in range(12)]
+    assert orbit_size((1,) + (0,) * 11) == 12
 
 
 def test_enumerate_window_hand_example():

@@ -6,12 +6,14 @@ The residual routine serves the analytic side (Toeplitz relations) and
 the non-analytic side (dual relations), so each residual property is
 checked on both.  The eta blocks and the finite-rank truncation are
 compared with the independent entry route, and so is the column kernel
-that every operator kind shares.  Symbol recovery inverts the Toeplitz
+that every operator kind shares, and the closed-form coordinate
+multipliers with the symbol kernel.  Symbol recovery inverts the Toeplitz
 entry map, and antisymmetrization signs are permutation parities.
 """
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +42,8 @@ from symtoep import (
     shift,
     truncation_support,
 )
-from symtoep.operators import Commutator
+from symtoep.operators import Commutator, _distinguished
+from symtoep.scalars import ONE
 
 HEIGHT = 2
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -273,3 +276,34 @@ def test_toeplitz_adjoint_is_the_conjugate_symbol(phi):
     for p in window:
         for q in window:
             assert t.column(p).get(q, zero) == t_adj.column(q).get(p, zero).conjugate(), (q, p)
+
+
+@st.composite
+def _edge_indices(draw, d, analytic):
+    """A strict index on one side, mostly at its edges: gaps of 1, and the
+    last entry at 0 (analytic) or at -1 (non-analytic)."""
+    last = draw(st.sampled_from([0, 0, 1, 3] if analytic else [-1, -1, -2, -4]))
+    gaps = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=d - 1, max_size=d - 1))
+    return Partition(itertools.accumulate(gaps, lambda x, g: x - g,
+                                          initial=last + sum(gaps)))
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@PROPERTY
+@given(data=st.data())
+def test_closed_form_coordinates_equal_the_symbol_kernel(d, analytic, data):
+    # the distinguished tuple of a side is (T_{s_i}, T_{conj s_i}) on the
+    # analytic side and (DT_{conj s_i}, DT_{s_i}) on the other
+    p = data.draw(_edge_indices(d, analytic))
+    kind = Toeplitz if analytic else DualToeplitz
+    z, z_adj = _distinguished(d, analytic)
+    up, down = (z, z_adj) if analytic else (z_adj, z)
+    for i in range(1, d + 1):
+        s = elementary(d, i)
+        for closed, general in ((up[i - 1], kind(s)), (down[i - 1], kind(s.conjugate()))):
+            col = closed.column(p)
+            assert col == general.column(p)
+            assert list(col) == list(general.column(p))
+            assert all(c is ONE for c in col.values())
+

@@ -240,6 +240,36 @@ def test_sup_norm_sampling_cap():
         elementary(2, 1).sup_norm_sampled(0)
 
 
+def _no_orbit_enumeration(monkeypatch):
+    import symtoep.symbols as symbols
+
+    def orbit_permutations(*args):
+        raise AssertionError("lattice_terms enumerated an orbit expansion over the cap")
+
+    monkeypatch.setattr(symbols, "orbit_permutations", orbit_permutations)
+
+
+def test_lattice_cap_counts_before_enumerating(monkeypatch):
+    _no_orbit_enumeration(monkeypatch)
+    # 12! = 479001600 distinct points in one orbit: never built
+    phi = Symbol(12, {tuple(range(11, -1, -1)): 1})
+    with pytest.raises(MarginError, match="479001600 lattice points.*lattice cap"):
+        phi.lattice_terms()
+
+
+def test_lattice_cap_boundary(monkeypatch):
+    import symtoep.symbols as symbols
+
+    # the orbits of (2, 1, 0) and (1, 0, 0) hold 6 + 3 points
+    phi = Symbol(3, {(2, 1, 0): 1, (1, 0, 0): 2})
+    monkeypatch.setattr(symbols, "MAX_LATTICE_TERMS", 9)
+    assert len(phi.lattice_terms()) == 9
+    monkeypatch.setattr(symbols, "MAX_LATTICE_TERMS", 8)
+    _no_orbit_enumeration(monkeypatch)
+    with pytest.raises(MarginError, match="9 lattice points"):
+        Symbol(3, {(2, 1, 0): 1, (1, 0, 0): 2}).lattice_terms()
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(expo=st.integers(1, 3).flatmap(
            lambda dim: st.lists(st.integers(0, 3), min_size=dim, max_size=dim)).filter(any),
