@@ -226,9 +226,7 @@ def _cmd_matrix(args) -> int:
 def _suite_brown_halmos(args, phi, op, window):
     # the window's side picks the Toeplitz or the dual relations
     residuals = bh_residuals(op, window)
-    witnesses = []
-    for res in residuals:
-        witnesses.extend(_witness_dicts(res))
+    witnesses = [w for res in residuals for w in _witness_dicts(res)]
     norms = [res.max_abs() for res in residuals]
     return all(res.is_zero() for res in residuals), witnesses, norms, {
         "residual_count": len(residuals)

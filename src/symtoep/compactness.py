@@ -29,6 +29,12 @@ from .partitions import Partition, Window, shift
 from .scalars import ONE
 from .symbols import Symbol
 
+# Largest stacked eta matrix, counted as its (d*n)^2 dense entries before
+# any block is assembled: 64 MB of complex entries, and as much again for
+# norm_estimate's a^H a.  The largest eta the tests, the CLI goldens and
+# the benchmark workloads stack has 252^2 entries (d = 3, n = 84).
+MAX_ETA_ENTRIES = 2 ** 22
+
 
 @dataclass
 class EtaReport:
@@ -62,12 +68,18 @@ def eta(T: OperatorSpec, j: int, window: Window, seed: int = 42) -> EtaReport:
     Z_a is the a-th basis shift for a < d and T_p for a = d, so block
     (a,b) at (q,p) is the exact entry of T at (q + j f_a, p + j f_b): T
     assembled on the shifted windows, read at the unshifted positions.
+    A stack over MAX_ETA_ENTRIES raises MarginError before any assembly.
     """
     if j < 0:
         raise DomainError("eta exponent must be >= 0")
     if window.d != T.d:
         raise DomainError("window dimension mismatch")
     d = T.d
+    entries = (d * len(window)) ** 2
+    if entries > MAX_ETA_ENTRIES:
+        raise MarginError(
+            f"stacking {d}x{d} eta blocks of {len(window)} rows needs {entries} dense "
+            f"entries, over the eta cap of {MAX_ETA_ENTRIES}; use a smaller window")
     moved = {a: window.shifted(j, a) for a in range(1, d + 1)}
     blocks = {(a, b): MatrixWindow(window, window, assemble(T, moved[a], moved[b]).entries)
               for a in moved for b in moved}
@@ -82,11 +94,8 @@ def el_projection(d: int, l: int) -> list[Partition]:
         raise DomainError("need d >= 2")
     if l < 1:
         raise DomainError("projection level must be >= 1")
-    out = []
-    for k in range(1, l + 1):
-        entries = [k + (d - 2 - i) * l for i in range(d - 1)] + [0]
-        out.append(Partition(entries))
-    return out
+    return [Partition([k + (d - 2 - i) * l for i in range(d - 1)] + [0])
+            for k in range(1, l + 1)]
 
 
 def truncation_support(d: int, l: int) -> set:
@@ -95,12 +104,7 @@ def truncation_support(d: int, l: int) -> set:
     The shifted copies are disjoint (the last entry records the shift), so
     F_l is an orthogonal projection onto their span.
     """
-    base = el_projection(d, l)
-    out = set()
-    for r in range(l):
-        for p in base:
-            out.add(shift(p, r))
-    return out
+    return {shift(p, r) for p in el_projection(d, l) for r in range(l)}
 
 
 def f_l_projection(d: int, l: int) -> FiniteRank:
@@ -205,30 +209,13 @@ def asymptotic_classify(phi: Symbol, K, j_max: int, window: Window,
     if j_max < 1:
         raise DomainError("j_max must be >= 1")
     d = phi.d
-    parts = [Toeplitz(phi)]
-    if K is not None:
-        parts.append(K)
-    T = OpSum(parts) if len(parts) > 1 else parts[0]
+    T = Toeplitz(phi) if K is None else OpSum([Toeplitz(phi), K])
 
-    decay_norms = {}
-    decay_ok = True
-    for i in range(1, d):
-        rep = commutator_decay(T, i, j_max, window, seed)
-        decay_norms[i] = rep.norms
-        if not rep.final_exact_zero:
-            decay_ok = False
-
+    decays = {i: commutator_decay(T, i, j_max, window, seed) for i in range(1, d)}
+    decay_ok = all(rep.final_exact_zero for rep in decays.values())
     toeplitz_part_ok = all(m.is_zero() for m in bh_residuals(Toeplitz(phi), window))
-
-    eta_norms = []
-    residual_eta_ok = True
-    if K is None:
-        eta_norms = [0.0] * j_max
-    else:
-        for j in range(1, j_max + 1):
-            rep = eta(K, j, window, seed)
-            eta_norms.append(rep.block_norm)
-            if j == j_max and not rep.is_zero():
-                residual_eta_ok = False
+    etas = [] if K is None else [eta(K, j, window, seed) for j in range(1, j_max + 1)]
+    residual_eta_ok = not etas or etas[-1].is_zero()
     return AsymptoticReport(decay_ok, toeplitz_part_ok, residual_eta_ok,
-                            decay_norms, eta_norms)
+                            {i: rep.norms for i, rep in decays.items()},
+                            [rep.block_norm for rep in etas] or [0.0] * j_max)

@@ -150,15 +150,11 @@ class GammaTuple:
     def from_json_dict(cls, data: dict) -> "GammaTuple":
         try:
             d = int(data["d"])
-            mats = []
-            for m in data["mats"]:
-                mats.append(np.array(
-                    [[complex(z[0], z[1]) for z in row] for row in m],
-                    dtype=complex,
-                ))
+            mats = tuple(np.array([[complex(z[0], z[1]) for z in row] for row in m],
+                                  dtype=complex) for m in data["mats"])
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise DomainError(f"malformed gamma tuple JSON: {exc}") from exc
-        return cls(d, tuple(mats))
+        return cls(d, mats)
 
 
 def synth_gamma_unitary(unitaries, comm_tol: float = 1e-8) -> GammaTuple:

@@ -11,10 +11,11 @@ permutations of q.  Toeplitz, Laurent, Hankel and dual-Toeplitz kinds
 share this formula and differ only in their row/column index sets.
 
 Each operator kind defines only the exact, finitely supported image of
-a basis vector; OperatorSpec caches it as ``column`` and combines columns
-in ``apply``.  Products such as the Brown-Halmos residuals compose these
-exact column maps; no truncated matrix product is ever used for an
-exactness verdict.
+a basis vector, cached by OperatorSpec as ``column``.  A composed column
+(``apply``, sums, commutators, Brown-Halmos residuals, product defects) is
+one dict that each term adds its signed image into in place, dropping the
+cancelled entries once at the end; no intermediate product is built, and
+no truncated matrix product is ever used for an exactness verdict.
 """
 from __future__ import annotations
 
@@ -45,20 +46,49 @@ def _as_partition(p) -> Partition:
 
 # -- exact sparse vectors (Partition -> ComplexRational) -------------------
 
-def vec_combine(a: dict, b: dict, sign: int) -> dict:
-    """Exact a + b (sign = 1) or a - b (sign = -1), dropping cancelled entries."""
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        if cur is None:
-            nv = v if sign > 0 else -v
+def _accumulate(acc: dict, op: "OperatorSpec", vec: dict, sign: int) -> None:
+    """Add sign * op(vec) into acc in place; cancelled entries stay, as zeros.
+
+    The sign and the unit tests are made once per column of op, not per
+    entry: every value of a kind with ``_unit_columns`` is the shared ONE,
+    so its image only adds v at the column's keys, and a factor v that is
+    ONE adds or subtracts op's column with no multiply.
+    """
+    get = acc.get
+    column = op.column
+    unit = op._unit_columns
+    for p, v in vec.items():
+        col = column(p)
+        if unit:
+            if sign > 0:
+                for q in col:
+                    cur = get(q)
+                    acc[q] = v if cur is None else cur + v
+            else:
+                for q in col:
+                    cur = get(q)
+                    acc[q] = -v if cur is None else cur - v
+        elif v is ONE:
+            if sign > 0:
+                for q, c in col.items():
+                    cur = get(q)
+                    acc[q] = c if cur is None else cur + c
+            else:
+                for q, c in col.items():
+                    cur = get(q)
+                    acc[q] = -c if cur is None else cur - c
         else:
-            nv = cur + v if sign > 0 else cur - v
-        if nv:
-            out[k] = nv
-        elif cur is not None:
-            del out[k]
-    return out
+            if sign < 0:
+                v = -v
+            for q, c in col.items():
+                w = c * v
+                cur = get(q)
+                acc[q] = w if cur is None else cur + w
+
+
+def _pruned(acc: dict) -> dict:
+    """The accumulated vector without its cancelled entries."""
+    return {k: v for k, v in acc.items() if v}
 
 
 # -- operator kinds ---------------------------------------------------------
@@ -68,6 +98,7 @@ class OperatorSpec:
     """Base: exact entries, and column/apply over each kind's basis image _image(p)."""
 
     d: int
+    _unit_columns = False  # True when every column value is the shared ONE
 
     def accepts_row(self, q: Partition) -> bool:
         raise NotImplementedError
@@ -85,26 +116,19 @@ class OperatorSpec:
         """Cached exact image of a basis vector; treat as read-only."""
         cache = getattr(self, "_col_cache", None)
         if cache is None:
-            cache = {}
-            self._col_cache = cache
+            cache = self._col_cache = {}
         p = _as_partition(p)
         col = cache.get(p)
         if col is None:
             self._check_col(p)
-            col = self._image(p)
-            cache[p] = col
+            col = cache[p] = self._image(p)
         return col
 
     def apply(self, vec: dict) -> dict:
         """Exact image of a sparse vector: the combination of its columns."""
         acc: dict = {}
-        for p, v in vec.items():
-            for q, c in self.column(p).items():
-                # the coordinate multipliers' coefficients are all ONE
-                w = v if c is ONE else c if v is ONE else c * v
-                cur = acc.get(q)
-                acc[q] = w if cur is None else cur + w
-        return {k: v for k, v in acc.items() if v}
+        _accumulate(acc, self, vec, 1)
+        return _pruned(acc)
 
     def _check_row(self, q: Partition):
         if not self.accepts_row(q):
@@ -127,12 +151,10 @@ class _SymbolOperator(OperatorSpec):
         self.d = symbol.d
 
     def accepts_row(self, q: Partition) -> bool:
-        want = self._row_analytic
-        return True if want is None else q.is_analytic == want
+        return self._row_analytic in (None, q.is_analytic)
 
     def accepts_col(self, p: Partition) -> bool:
-        want = self._col_analytic
-        return True if want is None else p.is_analytic == want
+        return self._col_analytic in (None, p.is_analytic)
 
     def entry(self, q, p) -> ComplexRational:
         q = _as_partition(q)
@@ -154,15 +176,13 @@ class _SymbolOperator(OperatorSpec):
         keep = self._row_analytic
         acc: dict = {}
         for point, c in self.symbol.lattice_terms():
-            sign, part = antisymmetrize(tuple(x + y for x, y in zip(p, point)))
-            if not sign:
-                continue
-            if keep is not None and part.is_analytic != keep:
+            sign, part = antisymmetrize(map(add, p, point))
+            if not sign or keep is not None and part.is_analytic != keep:
                 continue
             w = c if sign > 0 else -c
             cur = acc.get(part)
             acc[part] = w if cur is None else cur + w
-        return {k: v for k, v in acc.items() if v}
+        return _pruned(acc)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.symbol!r})"
@@ -170,8 +190,6 @@ class _SymbolOperator(OperatorSpec):
 
 class Laurent(_SymbolOperator):
     """Multiplication by the symbol on the full doubly-infinite model."""
-    _row_analytic = None
-    _col_analytic = None
 
 
 class Toeplitz(_SymbolOperator):
@@ -198,6 +216,7 @@ class ShiftY(OperatorSpec):
     Not a Toeplitz operator for 1 <= j <= d-1; satisfies the final
     Brown-Halmos relation but fails the coordinate ones.
     """
+    _unit_columns = True
 
     def __init__(self, d: int, j: int):
         if d < 2:
@@ -211,8 +230,7 @@ class ShiftY(OperatorSpec):
     def accepts_row(self, q: Partition) -> bool:
         return q.is_analytic
 
-    def accepts_col(self, p: Partition) -> bool:
-        return p.is_analytic
+    accepts_col = accepts_row
 
     def shifted(self, p: Partition) -> Partition:
         return shift(p, 1, self.j)
@@ -242,6 +260,7 @@ class _CoordinateStep(OperatorSpec):
     Toeplitz of s_i or conj s_i, on the non-analytic side DualToeplitz of
     the same symbol.
     """
+    _unit_columns = True
 
     def __init__(self, d: int, i: int, sign: int, analytic: bool):
         self.d = d
@@ -269,7 +288,7 @@ class _CoordinateStep(OperatorSpec):
         for k in range(d - 1):
             if p[k] - p[k + 1] == 1:
                 blocked |= 1 << k
-        return {Partition._unsafe(tuple(map(add, p, s))): ONE
+        return {Partition._unsafe(map(add, p, s)): ONE
                 for s, mask in self._steps if not blocked & mask}
 
 
@@ -295,8 +314,7 @@ class FiniteRank(OperatorSpec):
     def accepts_row(self, q: Partition) -> bool:
         return True
 
-    def accepts_col(self, p: Partition) -> bool:
-        return True
+    accepts_col = accepts_row
 
     def entry(self, q, p) -> ComplexRational:
         col = self._cols.get(_as_partition(p), {})
@@ -329,16 +347,14 @@ class OpSum(OperatorSpec):
         return all(op.accepts_col(p) for op in self.ops)
 
     def entry(self, q, p) -> ComplexRational:
-        total = ComplexRational(0)
-        for op in self.ops:
-            total = total + op.entry(q, p)
-        return total
+        return sum((op.entry(q, p) for op in self.ops), ComplexRational(0))
 
     def _image(self, p: Partition) -> dict:
-        out: dict = {}
+        acc: dict = {}
+        e_p = {p: ONE}
         for op in self.ops:
-            out = vec_combine(out, op.column(p), 1)
-        return out
+            _accumulate(acc, op, e_p, 1)
+        return _pruned(acc)
 
     def __repr__(self):
         return f"OpSum({list(self.ops)!r})"
@@ -362,7 +378,10 @@ class Commutator(OperatorSpec):
 
     def _image(self, p: Partition) -> dict:
         a, b = self.a, self.b
-        return vec_combine(a.apply(b.column(p)), b.apply(a.column(p)), -1)
+        acc: dict = {}
+        _accumulate(acc, a, b.column(p), 1)
+        _accumulate(acc, b, a.column(p), -1)
+        return _pruned(acc)
 
 
 # -- assembled finite matrices ----------------------------------------------
@@ -483,18 +502,22 @@ def bh_residual_column(T: OperatorSpec, i: int, p, _tuple=None) -> dict:
     Z_d^* T Z_d - T for i = d: the Toeplitz relations on the analytic
     side, the dual Toeplitz relations on the non-analytic complement.
     Z_d e_p is one diagonally shifted basis vector, and every other factor
-    acts as an exact column map.  ``_tuple`` is p's side's
-    ``_distinguished`` pair, passed in by callers that reuse its column
-    caches over many columns.
+    acts as an exact column map.  Both terms add into one column in place,
+    with no multiply: Z_i^* adds each value of T's column at Z_d e_p at
+    the steps of its row, and T Z_{d-i} subtracts T's columns at the steps
+    of p (T's column at p for i = d).
+    ``_tuple`` is p's side's ``_distinguished`` pair, passed in by callers
+    that reuse its column caches over many columns.
     """
     d = T.d
     if not 1 <= i <= d:
         raise DomainError(f"residual index must satisfy 1 <= i <= d, got {i}")
     p = _as_partition(p)
     z, z_adj = _tuple or _distinguished(d, p.is_analytic)
-    first = z_adj[i - 1].apply(T.column(shift(p, 1 if p.is_analytic else -1)))
-    second = T.column(p) if i == d else T.apply(z[d - i - 1].column(p))
-    return vec_combine(first, second, -1)
+    acc: dict = {}
+    _accumulate(acc, z_adj[i - 1], T.column(shift(p, 1 if p.is_analytic else -1)), 1)
+    _accumulate(acc, T, {p: ONE} if i == d else z[d - i - 1].column(p), -1)
+    return _pruned(acc)
 
 
 def bh_residual_entry(T: OperatorSpec, i: int, q, p, _tuple=None) -> ComplexRational:
@@ -565,11 +588,6 @@ def bh_residual_matrix(T: OperatorSpec, i: int, window: Window, _tuples=None) ->
 # -- symbol recovery ---------------------------------------------------------
 
 
-def _candidate_reps(d: int, bound: int):
-    values = range(bound, -bound - 1, -1)
-    return list(itertools.combinations_with_replacement(values, d))
-
-
 def recover_symbol(oracle, d: int, degree_bound: int) -> Symbol:
     """Unique symbol of height <= degree_bound matching a Toeplitz entry oracle.
 
@@ -605,7 +623,8 @@ def recover_symbol(oracle, d: int, degree_bound: int) -> Symbol:
     K = 2 * degree_bound + 2
     q_probe = Partition(tuple(K * (d - k) for k in range(d)))
     coeffs = {}
-    for m in _candidate_reps(d, degree_bound):
+    heights = range(degree_bound, -degree_bound - 1, -1)
+    for m in itertools.combinations_with_replacement(heights, d):
         m_asc = tuple(reversed(m))
         p_probe = Partition(tuple(x - y for x, y in zip(q_probe, m_asc)))
         try:
@@ -647,8 +666,7 @@ class _CallableEntries(OperatorSpec):
     def accepts_row(self, q):
         return q.is_analytic
 
-    def accepts_col(self, p):
-        return p.is_analytic
+    accepts_col = accepts_row
 
     def entry(self, q, p):
         v = self._fn(_as_partition(q), _as_partition(p))
@@ -678,18 +696,16 @@ def product_defect(phi: Symbol, psi: Symbol, window: Window) -> MatrixWindow:
     h_psi = Hankel(psi)
     h_phibar = Hankel(phi.conjugate())
 
-    # row r of H_{conj phi}^* on the window: the transposed, conjugated columns
-    adjoint_rows: dict = {}
-    for q in window:
-        for r, v in h_phibar.column(q).items():
-            adjoint_rows.setdefault(r, {})[q] = v.conjugate()
+    # H_{conj phi}^* with rows on the window: the transposed, conjugated columns
+    h_phibar_adj = FiniteRank(phi.d, ((q, r, v.conjugate()) for q in window
+                                      for r, v in h_phibar.column(q).items()))
     columns = {}
     for p in window:
-        col = vec_combine(t_phi.apply(t_psi.column(p)), t_prod.column(p), -1)
-        for r, v in h_psi.column(p).items():
-            for q, w in adjoint_rows.get(r, {}).items():
-                col[q] = col[q] + v * w if q in col else v * w
-        columns[p] = col
+        col: dict = {}
+        _accumulate(col, t_phi, t_psi.column(p), 1)
+        _accumulate(col, t_prod, {p: ONE}, -1)
+        _accumulate(col, h_phibar_adj, h_psi.column(p), 1)
+        columns[p] = _pruned(col)
     return matrix_from_columns(columns, window, window)
 
 
@@ -764,9 +780,12 @@ def norm_estimate(m, iterations: int = 100, seed: int = 42) -> float:
     """Seeded power-iteration lower bound for the largest singular value.
 
     Rayleigh quotients of A^*A are nondecreasing along the iteration, so
-    more iterations never lower the estimate.
+    more iterations never lower the estimate.  A zero window returns 0.0
+    before any dense matrix is built, as the iteration would.
     """
     if isinstance(m, MatrixWindow):
+        if m.is_zero():
+            return 0.0
         a = m.to_dense()
     else:
         a = np.asarray(m, dtype=complex)

@@ -11,6 +11,7 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
+from operator import lt
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import DomainError, MarginError
@@ -34,10 +35,9 @@ class Partition(tuple):
             raise DomainError("partition needs d >= 2 entries")
         return t
 
-    @classmethod
-    def _unsafe(cls, entries) -> "Partition":
-        # internal fast path: caller guarantees strict decrease
-        return tuple.__new__(cls, entries)
+    # internal fast path, Partition._unsafe(entries): the caller guarantees
+    # strict decrease, and tuple.__new__ builds the tuple with no check
+    _unsafe = classmethod(tuple.__new__)
 
     @property
     def d(self) -> int:
@@ -53,6 +53,10 @@ class SignedPartition(NamedTuple):
     partition: Optional[Partition]
 
 
+_tuple_new = tuple.__new__
+_VANISHES = _tuple_new(SignedPartition, (0, None))  # any tuple with a repeated entry
+
+
 def antisymmetrize(t: Iterable[int]) -> SignedPartition:
     """Sort a tuple into a strict partition, tracking the permutation sign.
 
@@ -60,17 +64,12 @@ def antisymmetrize(t: Iterable[int]) -> SignedPartition:
     else (+/-1, sorted partition).
     """
     t = tuple(t)
-    n = len(t)
-    inversions = 0
-    for i in range(n - 1):
-        ti = t[i]
-        for j in range(i + 1, n):
-            if ti < t[j]:
-                inversions += 1
-            elif ti == t[j]:
-                return SignedPartition(0, None)
     srt = sorted(t, reverse=True)
-    return SignedPartition(-1 if inversions & 1 else 1, Partition._unsafe(srt))
+    if len(set(srt)) < len(srt):
+        return _VANISHES
+    # the sign is the parity of the pairs that stand in increasing order
+    inversions = sum(itertools.starmap(lt, itertools.combinations(t, 2)))
+    return _tuple_new(SignedPartition, (-1 if inversions & 1 else 1, Partition._unsafe(srt)))
 
 
 def orbit_size(m: Iterable[int]) -> int:

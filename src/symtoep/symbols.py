@@ -82,11 +82,8 @@ class Symbol:
                 raise MarginError(
                     f"the symbol's orbits hold {count} lattice points, over the "
                     f"lattice cap of {MAX_LATTICE_TERMS}")
-            terms = []
-            for rep, c in self.coeffs.items():
-                for point in orbit_permutations(rep):
-                    terms.append((point, c))
-            self._lattice = terms
+            self._lattice = [(point, c) for rep, c in self.coeffs.items()
+                             for point in orbit_permutations(rep)]
         return self._lattice
 
     @property
@@ -115,10 +112,8 @@ class Symbol:
 
     def conjugate(self) -> "Symbol":
         """Complex conjugate on the torus: coeff at m -> conj(coeff at -reversed(m))."""
-        out = {}
-        for m, c in self.coeffs.items():
-            out[tuple(-x for x in reversed(m))] = c.conjugate()
-        return Symbol(self.d, out)
+        return Symbol(self.d, {tuple(-x for x in reversed(m)): c.conjugate()
+                               for m, c in self.coeffs.items()})
 
     def scaled(self, a) -> "Symbol":
         if not isinstance(a, ComplexRational):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from symtoep import GammaTuple, elementary, synth_gamma_unitary
+from symtoep import GammaTuple, analytic_window, elementary, synth_gamma_unitary
 from symtoep.cli import main
 from symtoep.symbols import MAX_SAMPLE_POINTS
 
@@ -245,6 +245,21 @@ def test_verify_window_over_the_cap_is_domain_error(selfadj_file, capsys, monkey
     assert (code, out) == (3, "")
     assert err.startswith("domain error:") and "window cap" in err
     assert "Traceback" not in err
+
+
+def test_verify_eta_over_the_eta_cap_is_domain_error(selfadj_file, capsys, monkeypatch):
+    import symtoep.compactness as compactness
+
+    def no_assembly(*args):
+        raise AssertionError("eta assembled a block before counting the stack")
+
+    monkeypatch.setattr(compactness, "assemble", no_assembly)
+    # the default eta window of a height-1 d = 2 symbol: maxtop 1 + 2 + 4
+    n = len(analytic_window(2, 7))
+    monkeypatch.setattr(compactness, "MAX_ETA_ENTRIES", (2 * n) ** 2 - 1)
+    code, out, err = run_main(["verify", "--suite", "eta", "--symbol", selfadj_file], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error:") and "eta cap" in err
 
 
 def test_verify_symbol_over_the_lattice_cap_is_domain_error(tmp_path, capsys, monkeypatch):

@@ -76,6 +76,24 @@ def test_eta_of_identity_is_nonzero():
     assert report.block_norm >= 1.0 - 1e-9
 
 
+def test_eta_cap_counts_the_stack_before_assembling(monkeypatch):
+    import symtoep.compactness as compactness
+
+    window = analytic_window(2, 5)
+    op = Toeplitz(elementary(2, 1))
+    entries = (2 * len(window)) ** 2
+    monkeypatch.setattr(compactness, "MAX_ETA_ENTRIES", entries)
+    assert eta(op, 1, window).block_norm > 0.0
+
+    def no_assembly(*args):
+        raise AssertionError("eta assembled a block before counting the stack")
+
+    monkeypatch.setattr(compactness, "assemble", no_assembly)
+    monkeypatch.setattr(compactness, "MAX_ETA_ENTRIES", entries - 1)
+    with pytest.raises(MarginError, match="eta cap"):
+        eta(op, 1, window)
+
+
 def test_eta_blocks_are_entries_at_shifted_indices():
     phi = elementary(2, 1)
     op = Toeplitz(phi)

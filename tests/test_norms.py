@@ -61,6 +61,25 @@ def test_windowed_norms_monotone_in_window():
     assert values[-1] <= 2.0 + 1e-9
 
 
+def test_zero_window_norm_builds_no_dense_matrix(monkeypatch):
+    import numpy as np
+
+    from symtoep import MatrixWindow
+
+    win = analytic_window(3, 6)
+    # a cancelled entry stored as an exact zero is still a zero window
+    zeros = [MatrixWindow(win, win), MatrixWindow(win, win, {(0, 1): ComplexRational(0)})]
+    # the dense route reads the same bits
+    assert [norm_estimate(m.to_dense()) for m in zeros] == [0.0, 0.0]
+
+    def no_dense(self):
+        raise AssertionError("norm_estimate built a dense zero matrix")
+
+    monkeypatch.setattr(MatrixWindow, "to_dense", no_dense)
+    assert [norm_estimate(m) for m in zeros] == [0.0, 0.0]
+    assert np.copysign(1.0, norm_estimate(zeros[0])) == 1.0
+
+
 def test_seed_determinism():
     m = toeplitz_matrix(2, elementary(2, 1), 5)
     assert norm_estimate(m, seed=7) == norm_estimate(m, seed=7)

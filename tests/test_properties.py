@@ -7,8 +7,10 @@ the non-analytic side (dual relations), so each residual property is
 checked on both.  The eta blocks and the finite-rank truncation are
 compared with the independent entry route, and so is the column kernel
 that every operator kind shares, and the closed-form coordinate
-multipliers with the symbol kernel.  Symbol recovery inverts the Toeplitz
-entry map, and antisymmetrization signs are permutation parities.
+multipliers with the symbol kernel.  Every composed column (apply, sums,
+commutators, residuals, product defects) drops the entries its terms
+cancel.  Symbol recovery inverts the Toeplitz entry map, and
+antisymmetrization signs are permutation parities.
 """
 
 import itertools
@@ -30,6 +32,7 @@ from symtoep import (
     Toeplitz,
     analytic_window,
     antisymmetrize,
+    bh_residual_column,
     bh_residual_entry,
     bh_residuals,
     dual_window,
@@ -96,6 +99,10 @@ def _assert_column_route_equals_entry_route(phi, analytic, data):
         for q in window:
             for p in window:
                 assert res.entry_at(q, p) == bh_residual_entry(op, i, q, p), (i, q, p)
+        # and every row of the column's support, inside the window or not
+        for p in window:
+            for q, v in bh_residual_column(op, i, p).items():
+                assert v == bh_residual_entry(op, i, q, p), (i, q, p)
 
 
 @PROPERTY
@@ -120,6 +127,60 @@ def test_column_route_equals_entry_route(phi, analytic, data):
 @given(phi=symbols(4), analytic=st.booleans(), data=st.data())
 def test_column_route_equals_entry_route_d4(phi, analytic, data):
     _assert_column_route_equals_entry_route(phi, analytic, data)
+
+
+@PROPERTY
+@given(phi=symbols(), analytic=st.booleans(), data=st.data())
+def test_composed_columns_hold_no_zero_entries(phi, analytic, data):
+    """Each composed column drops the entries its terms cancel.
+
+    bh_residual_matrix widens its rows only when some column is nonempty,
+    so a cancelled entry kept as a zero would widen a vanishing residual.
+    """
+    d = phi.d
+    kind, window = _side(d, analytic)
+    op = _perturbed(phi, kind, window, data)
+    p = data.draw(st.sampled_from(window.members))
+    keys = data.draw(st.lists(st.sampled_from(window.members), min_size=1, max_size=3,
+                              unique=True))
+    vec = {q: data.draw(coefficients) for q in keys}
+    cancelled = OpSum([kind(phi), kind(phi.scaled(-1))])
+    partner = _distinguished(d, analytic)[0][data.draw(st.integers(0, d - 1))]
+    columns = [op.apply(vec), op.column(p), Commutator(op, partner).column(p),
+               Commutator(kind(phi), partner).column(p)]
+    columns += [bh_residual_column(op, i, p) for i in range(1, d + 1)]
+    for col in columns:
+        assert all(col.values()), col
+    # columns whose terms cancel completely are empty
+    assert cancelled.column(p) == {} and cancelled.apply(vec) == {}
+    for i in range(1, d + 1):
+        assert bh_residual_column(kind(phi), i, p) == {}, i
+
+
+@PROPERTY
+@given(phi=symbols(), data=st.data())
+def test_product_defect_columns_hold_no_zero_entries(phi, data):
+    import symtoep.operators as operators
+
+    psi = data.draw(symbols(phi.d))
+    seen = []
+
+    def spy(columns, rows, cols):
+        seen.append(columns)
+        return assemble_columns(columns, rows, cols)
+
+    assemble_columns = operators.matrix_from_columns
+    window = analytic_window(phi.d, 2 * HEIGHT)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "matrix_from_columns", spy)
+        product_defect(phi, psi, window)
+    (columns,) = seen
+    assert set(columns) == set(window)
+    for col in columns.values():
+        assert all(col.values()), col
+        # the defect vanishes on the window's rows, where the Hankel pairing
+        # is summed, so only rows outside it are left
+        assert not any(q in window for q in col), col
 
 
 @PROPERTY
