@@ -164,13 +164,11 @@ def commutator_decay(T: OperatorSpec, i: int, n_max: int, window: Window,
         raise DomainError("n_max must be >= 0")
     if window.d != d:
         raise DomainError("window dimension mismatch")
-    # the commutator and the residual share the analytic tuple's column caches
-    analytic_tuple = _distinguished(d, True)
-    commutator = Commutator(T, analytic_tuple[0][i - 1])
+    commutator = Commutator(T, _distinguished(d, True)[0][i - 1])
     mats = [MatrixWindow(window, window, assemble(commutator, w, w).entries)
             for w in (window.shifted(n) for n in range(n_max + 1))]
     norms = [norm_estimate(m, 100, seed) for m in mats]
-    return DecayReport(i, norms, mats, bh_residual_matrix(T, i, window, {True: analytic_tuple}))
+    return DecayReport(i, norms, mats, bh_residual_matrix(T, i, window))
 
 
 @dataclass

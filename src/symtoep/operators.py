@@ -11,17 +11,18 @@ permutations of q.  Toeplitz, Laurent, Hankel and dual-Toeplitz kinds
 share this formula and differ only in their row/column index sets.
 
 Each operator kind defines only the exact, finitely supported image of
-a basis vector, cached by OperatorSpec as ``column``.  A composed column
-(``apply``, sums, commutators, Brown-Halmos residuals, product defects) is
-one dict that each term adds its signed image into in place, dropping the
-cancelled entries once at the end; no intermediate product is built, and
-no truncated matrix product is ever used for an exactness verdict.
+a basis vector, cached by OperatorSpec as ``column``.  Every composed
+column (``apply``, sums, commutators, product defects) adds its terms'
+signed images into one dict in place, and all d Brown-Halmos residual
+columns at p come from one walk over T's diagonal-step column and one
+shared step table; no truncated matrix product decides exactness.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import add
 
 import numpy as np
@@ -249,32 +250,44 @@ class ShiftY(OperatorSpec):
         return f"ShiftY(d={self.d}, j={self.j})"
 
 
+@lru_cache(maxsize=None)
+def _step_table(d: int, sign: int) -> tuple:
+    """At k: each step sign*e, e a 0/1 vector of k ones, in orbit_permutations order, and its
+    mask, with bit j < d-1 if it ties p_j, p_{j+1} at a gap of 1, bit d-1 if it moves p_{d-1}."""
+    return tuple(tuple((s, sum(1 << j for j in range(d - 1) if s[j] - s[j + 1] == -1)
+                        | (s[-1] != 0) << (d - 1))
+                       for s in orbit_permutations((sign,) * k + (0,) * (d - k)))
+                 for k in range(d + 1))
+
+
+def _steps(p: Partition, sign: int, edge, ones) -> list:
+    """(k, p + sign*e) over table steps with k in ones, keeping p strict and off edge."""
+    blocked = (p[-1] == edge) << (len(p) - 1)
+    for k in range(len(p) - 1):
+        if p[k] - p[k + 1] == 1:
+            blocked |= 1 << k
+    return [(k, Partition._unsafe(map(add, p, s))) for k in ones
+            for s, mask in _step_table(len(p), sign)[k] if not blocked & mask]
+
+
 class _CoordinateStep(OperatorSpec):
     """T_{s_i} (sign 1) or T_{conj s_i} (sign -1) in closed form on one side.
 
     For strict p and a 0/1 vector e with i ones, p + e and p - e are
     non-increasing: strict, with coefficient exactly +1 and no reordering,
     or with a tie, where the term vanishes.  So the image of e_p is the sum
-    of e_{p + sign*e} over the steps that keep the index strict and on the
-    side, every coefficient the shared ONE.  On the analytic side this is
-    Toeplitz of s_i or conj s_i, on the non-analytic side DualToeplitz of
-    the same symbol.
+    of e_{p + sign*e} over the steps of _step_table that keep the index
+    strict and on the side, every coefficient the shared ONE.  On the
+    analytic side this is Toeplitz of s_i or conj s_i, on the non-analytic
+    side DualToeplitz of the same symbol.
     """
     _unit_columns = True
 
     def __init__(self, d: int, i: int, sign: int, analytic: bool):
         self.d = d
         self.analytic = analytic
-        # the symbol's lattice points, in its lattice_terms order
-        rep = (1,) * i + (0,) * (d - i) if sign > 0 else (0,) * (d - i) + (-1,) * i
-        # a step's mask has bit k < d-1 when it would tie p_k and p_{k+1}
-        # across a gap of 1, and bit d-1 when it moves the last entry, which
-        # leaves the side from the edge value: 0 moving down on the analytic
-        # side, -1 moving up on the other
-        self._steps = []
-        for s in orbit_permutations(rep):
-            ties = sum(1 << k for k in range(d - 1) if s[k] - s[k + 1] == -1)
-            self._steps.append((s, ties | (s[-1] != 0) << (d - 1)))
+        self._ones, self._sign = (i,), sign
+        # a last entry leaves the side from 0 moving down, or from -1 moving up
         self._edge = None if (sign > 0) == analytic else (0 if analytic else -1)
 
     def accepts_row(self, q: Partition) -> bool:
@@ -283,13 +296,7 @@ class _CoordinateStep(OperatorSpec):
     accepts_col = accepts_row
 
     def _image(self, p: Partition) -> dict:
-        d = self.d
-        blocked = (p[-1] == self._edge) << (d - 1)
-        for k in range(d - 1):
-            if p[k] - p[k + 1] == 1:
-                blocked |= 1 << k
-        return {Partition._unsafe(map(add, p, s)): ONE
-                for s, mask in self._steps if not blocked & mask}
+        return {r: ONE for _, r in _steps(p, self._sign, self._edge, self._ones)}
 
 
 class FiniteRank(OperatorSpec):
@@ -308,7 +315,8 @@ class FiniteRank(OperatorSpec):
             if not isinstance(c, ComplexRational):
                 c = ComplexRational(c)
             col = cols.setdefault(p, {})
-            col[q] = col.get(q, ComplexRational(0)) + c
+            cur = col.get(q)
+            col[q] = c if cur is None else cur + c
         self._cols = {p: {q: c for q, c in col.items() if c} for p, col in cols.items()}
 
     def accepts_row(self, q: Partition) -> bool:
@@ -494,30 +502,51 @@ def _distinguished(d: int, analytic: bool) -> tuple[list, list]:
     return (up, down) if analytic else (down, up)
 
 
-def bh_residual_column(T: OperatorSpec, i: int, p, _tuple=None) -> dict:
+def _workspace(wanted) -> tuple:
+    """(wanted i, row -> adjoint steps, p -> columns) of one window."""
+    return frozenset(wanted), {}, {}
+
+
+def bh_residual_column(T: OperatorSpec, i: int, p, _shared=None) -> dict:
     """Exact column at p of the i-th Brown-Halmos residual of T.
 
     The side of the model is that of p.  With that side's distinguished
     tuple Z, the residual is Z_i^* T Z_d - T Z_{d-i} for 1 <= i <= d-1 and
     Z_d^* T Z_d - T for i = d: the Toeplitz relations on the analytic
     side, the dual Toeplitz relations on the non-analytic complement.
-    Z_d e_p is one diagonally shifted basis vector, and every other factor
-    acts as an exact column map.  Both terms add into one column in place,
-    with no multiply: Z_i^* adds each value of T's column at Z_d e_p at
-    the steps of its row, and T Z_{d-i} subtracts T's columns at the steps
-    of p (T's column at p for i = d).
-    ``_tuple`` is p's side's ``_distinguished`` pair, passed in by callers
-    that reuse its column caches over many columns.
+    Z_i steps by sigma*e and Z_i^* by -sigma*e over 0/1 vectors e of i ones
+    (sigma = 1 on the analytic side, else -1), so all residuals at p come
+    from one walk over T's column at p + sigma*1, each value added at its
+    row's adjoint steps into residual |e|, and from T's columns at p's steps
+    with |e| < d, each subtracted from residual d - |e|.  A _workspace
+    ``_shared`` makes all its wanted residuals at p on the first call there.
     """
     d = T.d
     if not 1 <= i <= d:
         raise DomainError(f"residual index must satisfy 1 <= i <= d, got {i}")
     p = _as_partition(p)
-    z, z_adj = _tuple or _distinguished(d, p.is_analytic)
-    acc: dict = {}
-    _accumulate(acc, z_adj[i - 1], T.column(shift(p, 1 if p.is_analytic else -1)), 1)
-    _accumulate(acc, T, {p: ONE} if i == d else z[d - i - 1].column(p), -1)
-    return _pruned(acc)
+    wanted, memo, made = _shared or _workspace((i,))
+    cols = made.get(p)
+    if cols is None:
+        sigma = 1 if p.is_analytic else -1
+        cols = {k: {} for k in wanted}
+        for q, v in T.column(shift(p, sigma)).items():
+            if q.is_analytic != p.is_analytic:
+                raise DomainError(f"residual row {tuple(q)} is off the side of {tuple(p)}")
+            targets = memo.get(q)
+            if targets is None:
+                targets = memo[q] = _steps(q, -sigma, 0 if sigma > 0 else -1, wanted)
+            for k, r in targets:
+                acc = cols[k]
+                cur = acc.get(r)
+                acc[r] = v if cur is None else cur + v
+        for k, t in _steps(p, sigma, None, {d - k for k in wanted}):
+            acc = cols[d - k]
+            for q, c in T.column(t).items():
+                cur = acc.get(q)
+                acc[q] = -c if cur is None else cur - c
+        cols = made[p] = {k: _pruned(acc) for k, acc in cols.items()}
+    return cols[i]
 
 
 def bh_residual_entry(T: OperatorSpec, i: int, q, p, _tuple=None) -> ComplexRational:
@@ -558,24 +587,21 @@ def bh_residuals(T: OperatorSpec, window: Window) -> list[MatrixWindow]:
     """
     if window.d != T.d:
         raise DomainError("window dimension does not match operator")
-    sides = {p.is_analytic for p in window}
-    if len(sides) > 1:
+    if len({p.is_analytic for p in window}) > 1:
         raise DomainError("Brown-Halmos residuals need a window on one side of the model")
-    tuples = {side: _distinguished(T.d, side) for side in sides}
-    return [bh_residual_matrix(T, i, window, tuples) for i in range(1, T.d + 1)]
+    shared = _workspace(range(1, T.d + 1))
+    return [bh_residual_matrix(T, i, window, shared) for i in range(1, T.d + 1)]
 
 
-def bh_residual_matrix(T: OperatorSpec, i: int, window: Window, _tuples=None) -> MatrixWindow:
+def bh_residual_matrix(T: OperatorSpec, i: int, window: Window, _shared=None) -> MatrixWindow:
     """The i-th residual matrix of T on the window (exact).
 
     Its rows widen to the columns' support when it vanishes on the window
     alone, so that a thin window keeps the witness of a non-Toeplitz T.
-    ``_tuples`` maps each side the window touches to its
-    ``_distinguished`` pair, passed in by callers that share their caches.
+    ``_shared`` is as in bh_residual_column; by default only i is wanted.
     """
-    tuples = _tuples or {side: _distinguished(T.d, side)
-                         for side in {p.is_analytic for p in window}}
-    columns = {p: bh_residual_column(T, i, p, tuples[p.is_analytic]) for p in window}
+    shared = _shared or _workspace((i,))
+    columns = {p: bh_residual_column(T, i, p, shared) for p in window}
     m = matrix_from_columns(columns, window, window)
     if m.is_zero() and any(columns.values()):
         members = set(window).union(*columns.values())

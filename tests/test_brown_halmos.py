@@ -7,7 +7,10 @@ import pytest
 from symtoep import (
     ComplexRational,
     DomainError,
+    DualToeplitz,
+    FiniteRank,
     MarginError,
+    OpSum,
     Partition,
     ShiftY,
     Toeplitz,
@@ -16,11 +19,13 @@ from symtoep import (
     bh_residual_entry,
     bh_residuals,
     classify_analytic,
+    dual_window,
     elementary,
     enumerate_window,
     product_defect,
     unit,
 )
+from symtoep.operators import _CoordinateStep
 from conftest import compose_columns, symbol_battery
 
 
@@ -59,6 +64,22 @@ def test_shift_fails_coordinate_relation_with_witness():
     assert v == ComplexRational(1)
     # the final relation T_p* Y T_p = Y holds exactly
     assert residuals[-1].is_zero()
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_residuals_build_no_coordinate_step_column(analytic, monkeypatch):
+    """The residuals read their steps from the step table, not from Z's columns."""
+    def refuse(self, p):
+        raise AssertionError(f"coordinate-step column built at {tuple(p)}")
+
+    monkeypatch.setattr(_CoordinateStep, "_image", refuse)
+    window = analytic_window(3, 5) if analytic else dual_window(3, 2, -3)
+    kind = Toeplitz if analytic else DualToeplitz
+    phi = elementary(3, 1) + elementary(3, 3).conjugate()
+    assert all(m.is_zero() for m in bh_residuals(kind(phi), window))
+    p = window.members[0]
+    bump = FiniteRank(3, [(p, p, ComplexRational(1))])
+    assert not all(m.is_zero() for m in bh_residuals(OpSum([kind(phi), bump]), window))
 
 
 @pytest.mark.parametrize("d,j", [(2, 1), (3, 1), (3, 2)])

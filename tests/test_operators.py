@@ -238,6 +238,17 @@ def test_finite_rank_and_sum():
     assert both.column(e10) == {e20: ComplexRational(3)}
 
 
+def test_finite_rank_sums_repeated_terms():
+    e10, e20, e21 = Partition((1, 0)), Partition((2, 0)), Partition((2, 1))
+    c = ComplexRational(Fraction(1, 2), 3)
+    f = FiniteRank(2, [(e20, e10, c), (e21, e10, 1), (e20, e10, c), (e21, e10, -1)])
+    # repeated (q, p) terms sum; terms that cancel leave no entry, which reads 0
+    assert f.column(e10) == {e20: c + c}
+    assert f.entry(e21, e10) == ComplexRational(0)
+    # a term at a new key is stored as given, with no sum against a zero
+    assert FiniteRank(2, [(e20, e10, c)]).column(e10)[e20] is c
+
+
 def test_assemble_and_matrix_window():
     phi = elementary(2, 1)
     win = analytic_window(2, 3)

@@ -92,16 +92,31 @@ def _assert_residuals_vanish(phi, analytic):
 
 
 def _assert_column_route_equals_entry_route(phi, analytic, data):
+    import symtoep.operators as operators
+
     kind, window = _side(phi.d, analytic)
     # a rank-one perturbation on the same side makes the residuals nonzero
     op = _perturbed(phi, kind, window, data)
-    for i, res in enumerate(bh_residuals(op, window), start=1):
+    built = {}
+
+    def spy(T, i, p, _shared=None):
+        built[i, p] = column = residual_column(T, i, p, _shared)
+        return column
+
+    residual_column = operators.bh_residual_column
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "bh_residual_column", spy)
+        residuals = bh_residuals(op, window)
+    for i, res in enumerate(residuals, start=1):
         for q in window:
             for p in window:
                 assert res.entry_at(q, p) == bh_residual_entry(op, i, q, p), (i, q, p)
-        # and every row of the column's support, inside the window or not
         for p in window:
-            for q, v in bh_residual_column(op, i, p).items():
+            # a bare call makes residual i alone; bh_residuals made all d at once
+            col = bh_residual_column(op, i, p)
+            assert col == built[i, p] and list(col) == list(built[i, p]), (i, p)
+            # and every row of the column's support, inside the window or not
+            for q, v in col.items():
                 assert v == bh_residual_entry(op, i, q, p), (i, q, p)
 
 
