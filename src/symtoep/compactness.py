@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MarginError
+from .errors import DomainError, MarginError, require_budget
 from .operators import (
     Commutator,
     FiniteRank,
@@ -20,6 +20,7 @@ from .operators import (
     OpSum,
     Toeplitz,
     _distinguished,
+    _require_dense,
     assemble,
     bh_residual_matrix,
     bh_residuals,
@@ -76,10 +77,9 @@ def eta(T: OperatorSpec, j: int, window: Window, seed: int = 42) -> EtaReport:
         raise DomainError("window dimension mismatch")
     d = T.d
     entries = (d * len(window)) ** 2
-    if entries > MAX_ETA_ENTRIES:
-        raise MarginError(
-            f"stacking {d}x{d} eta blocks of {len(window)} rows needs {entries} dense "
-            f"entries, over the eta cap of {MAX_ETA_ENTRIES}; use a smaller window")
+    require_budget(entries, MAX_ETA_ENTRIES, "eta",
+                   f"stacking {d}x{d} eta blocks of {len(window)} rows needs {entries} "
+                   "dense entries", "use a smaller window")
     moved = {a: window.shifted(j, a) for a in range(1, d + 1)}
     blocks = {(a, b): MatrixWindow(window, window, assemble(T, moved[a], moved[b]).entries)
               for a in moved for b in moved}
@@ -156,6 +156,8 @@ def commutator_decay(T: OperatorSpec, i: int, n_max: int, window: Window,
     The conjugated entry at (q, p) is the exact commutator entry at
     (q + n, p + n), read off the commutator assembled on the shifted
     window; the report also carries the exact i-th Brown-Halmos residual.
+    A window whose dense matrix is over MAX_DENSE_ENTRIES raises
+    MarginError before any assembly.
     """
     d = T.d
     if not 1 <= i <= d - 1:
@@ -164,6 +166,7 @@ def commutator_decay(T: OperatorSpec, i: int, n_max: int, window: Window,
         raise DomainError("n_max must be >= 0")
     if window.d != d:
         raise DomainError("window dimension mismatch")
+    _require_dense(len(window), "the decay window")
     commutator = Commutator(T, _distinguished(d, True)[0][i - 1])
     mats = [MatrixWindow(window, window, assemble(commutator, w, w).entries)
             for w in (window.shifted(n) for n in range(n_max + 1))]

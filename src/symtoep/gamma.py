@@ -13,9 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DegeneracyError, DomainError, MarginError
+from .errors import DegeneracyError, DomainError, require_budget
 from .operators import Commutator, Laurent, Toeplitz, assemble
 from .partitions import Window, regrade, shift
 from .scalars import ONE
@@ -240,6 +239,7 @@ def _joint_diagonalize(mats, tol: float, seed: int):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
     combo = sum(ck * m for ck, m in zip(c, mats))
+    import scipy.linalg  # deferred: no other command pays scipy's import at start-up
     _, q = scipy.linalg.schur(combo, output="complex")
     eigs = np.diag(q.conj().T @ combo @ q)
     scale = max(1.0, float(np.max(np.abs(eigs))))
@@ -409,10 +409,9 @@ def s_toeplitz_solve(t: GammaTuple, tol: float = 1e-9) -> list:
     v = mats[-1]
     n = t.size
     entries = (d * n * n) ** 2
-    if entries > MAX_SOLVE_ENTRIES:
-        raise MarginError(
-            f"solving {d} blocks of size {n * n}x{n * n} needs an SVD of {entries} "
-            f"entries, over the solver cap of {MAX_SOLVE_ENTRIES}; use smaller matrices")
+    require_budget(entries, MAX_SOLVE_ENTRIES, "solver",
+                   f"solving {d} blocks of size {n * n}x{n * n} needs an SVD of {entries} entries",
+                   "use smaller matrices")
     blocks = []
     eye = np.eye(n)
     for i in range(1, d):

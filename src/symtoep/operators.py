@@ -27,7 +27,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import DomainError, MarginError, NotToeplitzError
+from .errors import DomainError, MarginError, NotToeplitzError, require_budget
 from .partitions import (
     Partition,
     Window,
@@ -801,6 +801,20 @@ def classify_analytic(phi: Symbol, window: Window) -> ClassifyReport:
 
 # -- floating norms -----------------------------------------------------------
 
+# Largest dense window matrix the float lane builds, counted as rows x
+# columns before any assembly: 64 MB of complex entries, and as much again
+# for norm_estimate's a^H a.  The largest the tests, the CLI goldens and the
+# benchmark workloads build is 455^2 (a d = 3 lift_verify test); the
+# largest in cli-suites is 286^2 (its d = 3 decay).
+MAX_DENSE_ENTRIES = 2 ** 22
+
+
+def _require_dense(n: int, what: str) -> None:
+    """Raise MarginError if an n x n dense window matrix is over MAX_DENSE_ENTRIES."""
+    require_budget(n * n, MAX_DENSE_ENTRIES, "dense",
+                   f"{what} of {n} members needs a dense {n}x{n} matrix of {n * n} entries",
+                   "use a smaller window")
+
 
 def norm_estimate(m, iterations: int = 100, seed: int = 42) -> float:
     """Seeded power-iteration lower bound for the largest singular value.
@@ -880,9 +894,12 @@ def lift_verify(phi: Symbol, windows, seed: int = 42,
     equal the Toeplitz matrix exactly, and the windowed Toeplitz norm may
     not exceed the windowed Laurent norm (floating tolerance).  Both norm
     sequences are nondecreasing over increasing windows and approach the
-    sampled sup norm of the symbol from below.
+    sampled sup norm of the symbol from below.  A window whose dense matrix
+    is over MAX_DENSE_ENTRIES raises MarginError before any sampling.
     """
-    # sampling first: a grid over the sampling cap fails before any assembly
+    windows = list(windows)
+    _require_dense(max((len(w) for w in windows), default=0), "the largest lift window")
+    # sampling next: a grid over the sampling cap fails before any assembly
     sampled_sup = phi.sup_norm_sampled(grid_size)
     rows = []
     laurent_op = Laurent(phi)

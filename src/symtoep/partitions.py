@@ -14,13 +14,18 @@ from functools import lru_cache
 from operator import lt
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import DomainError, MarginError
+from .errors import DomainError, require_budget
 
 # Largest window enumerate_window builds, counted in members before any is
 # made: about 40 MB of partitions and index at d = 3.  The largest window
 # the tests, the CLI goldens and the benchmark workloads build is
 # enumerate_window(3, 7, -7), 455 members, in a d = 3 lift_verify test.
 MAX_WINDOW_MEMBERS = 2 ** 18
+# Largest table of signed index permutations, d!, that the entry route
+# builds and caches: about 7 MB at d = 8 (8! = 40,320), while d = 9 does
+# not fit.  The largest d the tests reach on the entry route is 4, and the
+# recovery benchmark workload's is 3.
+MAX_INDEX_PERMUTATIONS = 2 ** 16
 
 
 class Partition(tuple):
@@ -107,7 +112,15 @@ def orbit_permutations(m: Iterable[int]) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def signed_index_permutations(d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All index permutations of range(d) with their signs."""
+    """All index permutations of range(d) with their signs.
+
+    More than MAX_INDEX_PERMUTATIONS of them raises MarginError before any
+    is built.
+    """
+    count = math.factorial(d)
+    require_budget(count, MAX_INDEX_PERMUTATIONS, "permutation",
+                   f"the entry route at d = {d} walks {d}! = {count} signed permutations",
+                   "read columns instead, or use a smaller d")
     out = []
     for perm in itertools.permutations(range(d)):
         inv = sum(
@@ -207,10 +220,9 @@ def enumerate_window(d: int, max_top: int, min_bottom: int) -> Window:
         raise DomainError("windows need d >= 2")
     values = range(min_bottom, max_top + 1)
     size = math.comb(len(values), d)
-    if size > MAX_WINDOW_MEMBERS:
-        raise MarginError(
-            f"a window of C({len(values)}, {d}) = {size} members exceeds the "
-            f"window cap of {MAX_WINDOW_MEMBERS}; use a narrower window")
+    require_budget(size, MAX_WINDOW_MEMBERS, "window",
+                   f"a window of C({len(values)}, {d}) = {size} members",
+                   "use a narrower window")
     members = [
         Partition._unsafe(tuple(sorted(c, reverse=True)))
         for c in itertools.combinations(values, d)

@@ -14,7 +14,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .errors import DomainError, MarginError
+from .errors import DomainError, require_budget
 from .partitions import orbit_permutations, orbit_size
 from .scalars import ComplexRational
 
@@ -78,10 +78,9 @@ class Symbol:
         """All (lattice point, coefficient) pairs of the orbit expansion."""
         if self._lattice is None:
             count = sum(orbit_size(rep) for rep in self.coeffs)
-            if count > MAX_LATTICE_TERMS:
-                raise MarginError(
-                    f"the symbol's orbits hold {count} lattice points, over the "
-                    f"lattice cap of {MAX_LATTICE_TERMS}")
+            require_budget(count, MAX_LATTICE_TERMS, "lattice",
+                           f"the symbol's orbits hold {count} lattice points",
+                           "use a symbol with smaller orbits")
             self._lattice = [(point, c) for rep, c in self.coeffs.items()
                              for point in orbit_permutations(rep)]
         return self._lattice
@@ -220,10 +219,9 @@ def torus_max(terms: list, d: int, grid_size: int) -> float:
     if grid_size < 1:
         raise DomainError("grid_size must be >= 1")
     n_points = grid_size ** d
-    if n_points > MAX_SAMPLE_POINTS:
-        raise MarginError(
-            f"a grid of {grid_size}^{d} = {n_points} torus points "
-            f"exceeds the sampling cap of {MAX_SAMPLE_POINTS}; use a smaller grid")
+    require_budget(n_points, MAX_SAMPLE_POINTS, "sampling",
+                   f"a grid of {grid_size}^{d} = {n_points} torus points",
+                   "use a smaller grid")
     if not terms:
         return 0.0
     axis = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)

@@ -262,6 +262,28 @@ def test_verify_eta_over_the_eta_cap_is_domain_error(selfadj_file, capsys, monke
     assert err.startswith("domain error:") and "eta cap" in err
 
 
+def test_verify_lift_over_the_dense_cap_is_domain_error(capsys, monkeypatch):
+    from pathlib import Path
+
+    import symtoep.operators as operators
+    from symtoep import MatrixWindow, Symbol
+
+    def no_work(*args):
+        raise AssertionError("lift sampled or built a matrix before counting its windows")
+
+    monkeypatch.setattr(operators, "assemble", no_work)
+    monkeypatch.setattr(MatrixWindow, "to_dense", no_work)
+    monkeypatch.setattr(Symbol, "sup_norm_sampled", no_work)
+    # enumerate_window(3, 20, -20): C(41, 3) = 10660 members, under the window
+    # cap, but a dense matrix of about 1.1 * 10^8 entries (1.8 GB)
+    phi3 = Path(__file__).parent / "golden" / "phi3.json"
+    code, out, err = run_main(
+        ["verify", "--suite", "lift", "--symbol", str(phi3), "--maxtop", "20"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error:") and "113635600 entries" in err
+    assert "dense cap" in err
+
+
 def test_verify_symbol_over_the_lattice_cap_is_domain_error(tmp_path, capsys, monkeypatch):
     import symtoep.symbols as symbols
 

@@ -94,6 +94,24 @@ def test_eta_cap_counts_the_stack_before_assembling(monkeypatch):
         eta(op, 1, window)
 
 
+def test_decay_dense_cap_counts_the_window_before_assembling(monkeypatch):
+    import symtoep.compactness as compactness
+    import symtoep.operators as operators
+
+    window = analytic_window(2, 5)
+    op = ShiftY(2, 1)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", len(window) ** 2)
+    assert commutator_decay(op, 1, 1, window).norms[0] > 0.5
+
+    def no_assembly(*args):
+        raise AssertionError("commutator_decay assembled a window before counting it")
+
+    monkeypatch.setattr(compactness, "assemble", no_assembly)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", len(window) ** 2 - 1)
+    with pytest.raises(MarginError, match=f"{len(window) ** 2} entries.*dense cap"):
+        commutator_decay(op, 1, 1, window)
+
+
 def test_eta_blocks_are_entries_at_shifted_indices():
     phi = elementary(2, 1)
     op = Toeplitz(phi)

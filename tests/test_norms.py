@@ -4,6 +4,7 @@ import pytest
 
 from symtoep import (
     ComplexRational,
+    MarginError,
     Toeplitz,
     analytic_window,
     assemble,
@@ -96,6 +97,25 @@ def test_lift_verify_passes_for_symbols(d):
         assert row.block_ok
         assert row.toeplitz_norm <= row.laurent_norm + 1e-9
     assert report.sampled_sup >= report.rows[-1].toeplitz_norm - 1e-6
+
+
+def test_lift_dense_cap_counts_the_largest_window_first(monkeypatch):
+    import symtoep.operators as operators
+
+    phi = elementary(2, 1)
+    windows = [enumerate_window(2, t, -t) for t in (2, 3)]
+    entries = len(windows[-1]) ** 2
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", entries)
+    assert lift_verify(phi, windows, grid_size=8).passed
+
+    def no_work(*args):
+        raise AssertionError("lift_verify sampled or assembled before counting its windows")
+
+    monkeypatch.setattr(operators, "assemble", no_work)
+    monkeypatch.setattr(type(phi), "sup_norm_sampled", no_work)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", entries - 1)
+    with pytest.raises(MarginError, match=f"{entries} entries.*dense cap"):
+        lift_verify(phi, windows)
 
 
 def test_lift_report_serializes():

@@ -20,6 +20,7 @@ from symtoep import (
     FiniteRank,
     Hankel,
     Laurent,
+    MarginError,
     OpSum,
     Partition,
     ShiftY,
@@ -174,6 +175,22 @@ def test_hand_entries_dimension_two():
     assert t2.entry((2, 1), (1, 0)) == ComplexRational(1)
     phi = elementary(2, 1) + elementary(2, 1).conjugate()
     assert Toeplitz(phi).column((1, 0)) == {Partition((2, 0)): ComplexRational(1)}
+
+
+def test_entry_route_permutation_cap_boundary(monkeypatch):
+    import symtoep.partitions as partitions
+
+    # the table is cached per d: start cold, so d = 5 is built under the cap
+    partitions.signed_index_permutations.cache_clear()
+    monkeypatch.setattr(partitions, "MAX_INDEX_PERMUTATIONS", factorial(5))
+    assert Toeplitz(elementary(5, 1)).entry((5, 3, 2, 1, 0), (4, 3, 2, 1, 0)) == ONE
+
+    def no_permutations(*args):
+        raise AssertionError("the entry route enumerated permutations over the cap")
+
+    monkeypatch.setattr(itertools, "permutations", no_permutations)
+    with pytest.raises(MarginError, match="720 signed permutations.*permutation cap"):
+        Toeplitz(elementary(6, 1)).entry((6, 4, 3, 2, 1, 0), (5, 4, 3, 2, 1, 0))
 
 
 def test_constant_symbol_acts_as_scalar():
