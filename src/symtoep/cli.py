@@ -256,7 +256,9 @@ def _suite_block(args, phi, op, window):
 def _suite_lift(args, phi, op, window):
     tops = sorted({max(phi.d, args.maxtop // 4),
                    max(phi.d, args.maxtop // 2), args.maxtop})
-    windows = [enumerate_window(phi.d, t, -t) for t in tops]
+    # the largest lift window is the verify window, unless --minbottom moved its bottom
+    windows = [window if (t, -t) == (window.max_top, window.min_bottom)
+               else enumerate_window(phi.d, t, -t) for t in tops]
     report = lift_verify(phi, windows, seed=args.seed,
                          grid_size=args.grid, tol=args.tol)
     norms = [row.toeplitz_norm for row in report.rows]
@@ -517,6 +519,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # numpy's generators take non-negative seeds only
+            raise _InputError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

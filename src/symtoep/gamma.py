@@ -2,8 +2,9 @@
 
 Everything here is double-precision numerics with explicit tolerances:
 membership goes through companion-matrix root finding, tuple checks
-through matrix norms, Schur-based joint diagonalization and SVD
-nullspaces.  Exact arithmetic lives in the operator modules.
+through matrix norms, joint diagonalization by orthonormalized
+eigenvectors and SVD nullspaces, all on numpy's LAPACK wrappers.
+Exact arithmetic lives in the operator modules.
 """
 from __future__ import annotations
 
@@ -11,9 +12,11 @@ import contextlib
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
+from . import symbols
 from .errors import DegeneracyError, DomainError, require_budget
 from .operators import Commutator, Laurent, Toeplitz, assemble
 from .partitions import Window, regrade, shift
@@ -151,7 +154,7 @@ class GammaTuple:
             d = int(data["d"])
             mats = tuple(np.array([[complex(z[0], z[1]) for z in row] for row in m],
                                   dtype=complex) for m in data["mats"])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise DomainError(f"malformed gamma tuple JSON: {exc}") from exc
         return cls(d, mats)
 
@@ -230,17 +233,18 @@ class GammaUnitaryReport:
 def _joint_diagonalize(mats, tol: float, seed: int):
     """Joint eigenvalue tuples of a commuting normal family.
 
-    Takes a seeded random linear combination, Schur-diagonalizes it, and
-    reads every matrix in the resulting basis.  Raises DegeneracyError if
-    the combination has clustered eigenvalues or a matrix refuses to
-    diagonalize in the common basis.
+    Takes a seeded random linear combination and orthonormalizes its
+    eigenvectors by a QR step.  The combination is normal, so with distinct
+    eigenvalues these are its Schur vectors up to phase, in the order the
+    Hessenberg-QR deflation finds them; every matrix is read in that basis.
+    Raises DegeneracyError if the combination has clustered eigenvalues or
+    a matrix refuses to diagonalize in the common basis.
     """
     n = mats[0].shape[0]
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
     combo = sum(ck * m for ck, m in zip(c, mats))
-    import scipy.linalg  # deferred: no other command pays scipy's import at start-up
-    _, q = scipy.linalg.schur(combo, output="complex")
+    q, _ = np.linalg.qr(np.linalg.eig(combo)[1])
     eigs = np.diag(q.conj().T @ combo @ q)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     if n > 1:
@@ -356,9 +360,15 @@ def check_gamma_isometry(t: GammaTuple, tol: float = 1e-8,
     (gamma_i S_i) with gamma_i = (d-i)/d satisfies ||f(gamma_1 S_1, ...)||
     <= tol + max |f(e_1, ..., e_{d-1})| over the grid_size^(d-1) torus grid
     (torus_max).  The battery is necessary, not sufficient, and the report
-    says so.
+    says so.  Its largest monomial, e_k^3 with k = (d-1)//2, expands to at
+    most C(d-1, k)^3 lattice terms; over MAX_LATTICE_TERMS of them (d > 8)
+    raises MarginError before any check runs.
     """
     d = t.d
+    terms = comb(d - 1, (d - 1) // 2) ** BATTERY_DEGREE
+    require_budget(terms, symbols.MAX_LATTICE_TERMS, "lattice",
+                   f"the battery's largest monomial in {d - 1} variables expands to "
+                   f"{terms} lattice terms", "use a tuple of smaller d")
     mats = t.mats
     v = mats[-1]
     eye = np.eye(t.size)

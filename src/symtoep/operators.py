@@ -226,7 +226,11 @@ class ShiftY(OperatorSpec):
             raise DomainError(f"shift index must satisfy 1 <= j <= d-1, got {j}")
         self.d = d
         self.j = j
-        self.step = (1,) * j + (0,) * (d - j)
+
+    @property
+    def step(self) -> tuple:
+        """f_j as a d-tuple, built on request, so a shift of huge d costs nothing up front."""
+        return (1,) * self.j + (0,) * (self.d - self.j)
 
     def accepts_row(self, q: Partition) -> bool:
         return q.is_analytic

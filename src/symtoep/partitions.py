@@ -218,15 +218,21 @@ def enumerate_window(d: int, max_top: int, min_bottom: int) -> Window:
     """
     if d < 2:
         raise DomainError("windows need d >= 2")
-    values = range(min_bottom, max_top + 1)
-    size = math.comb(len(values), d)
+    n = max(0, max_top - min_bottom + 1)  # len(range) overflows past 2^63
+    # C(n, d) >= 2^min(d, n - d): past 64 the count is over any cap without
+    # computing it, which for math.comb(2**32, 2**31) would take minutes
+    if min(d, n - d) > 64:
+        require_budget(2 ** 64, MAX_WINDOW_MEMBERS, "window",
+                       f"a window of C({n}, {d}) > 2^64 members", "use a narrower window")
+    size = math.comb(n, d)
     require_budget(size, MAX_WINDOW_MEMBERS, "window",
-                   f"a window of C({len(values)}, {d}) = {size} members",
+                   f"a window of C({n}, {d}) = {size} members",
                    "use a narrower window")
+    # combinations() allocates its d indices even when d > n
     members = [
         Partition._unsafe(tuple(sorted(c, reverse=True)))
-        for c in itertools.combinations(values, d)
-    ]
+        for c in itertools.combinations(range(min_bottom, max_top + 1), d)
+    ] if size else []
     return Window(d, max_top, min_bottom, members)
 
 

@@ -16,10 +16,16 @@ reports do not depend on the stored form.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
 _new = object.__new__
+# Largest decimal exponent from_strings reads: Fraction("1e999999999")
+# would build a billion-digit integer, while int() already holds a plain
+# digit string to 4300 digits.
+_EXPONENT_LIMIT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
 
 
 def _raw(a: int, b: int, n: int) -> "ComplexRational":
@@ -75,7 +81,11 @@ class ComplexRational:
 
     @classmethod
     def from_strings(cls, re: str, im: str) -> "ComplexRational":
-        """Parse rational strings like "3", "-1/2"."""
+        """Parse rational strings like "3", "-1/2"; ValueError on a bad one."""
+        for text in (re, im):
+            exponent = _EXPONENT.search(text)
+            if exponent and abs(int(exponent.group(1))) > _EXPONENT_LIMIT:
+                raise ValueError(f"exponent of {text!r} is beyond 10^{_EXPONENT_LIMIT}")
         return cls(Fraction(re), Fraction(im))
 
     @property

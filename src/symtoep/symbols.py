@@ -192,14 +192,14 @@ class Symbol:
         try:
             d = int(data["d"])
             raw = data["terms"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed symbol JSON: {exc}") from exc
         coeffs: dict = {}
         for term in raw:
             try:
                 m = _validate_rep(term["m"], d)
                 c = ComplexRational.from_strings(str(term["re"]), str(term["im"]))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise DomainError(f"malformed symbol term {term}: {exc}") from exc
             coeffs[m] = coeffs.get(m, ComplexRational(0)) + c
         return cls(d, coeffs)

@@ -284,6 +284,31 @@ def test_verify_lift_over_the_dense_cap_is_domain_error(capsys, monkeypatch):
     assert "dense cap" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--maxtop", "7"], ["--maxtop", "7", "--minbottom", "-4"]])
+def test_verify_lift_enumerates_each_window_once(extra, capsys, monkeypatch):
+    from collections import Counter
+    from pathlib import Path
+
+    import symtoep.cli as cli
+
+    calls = Counter()
+    real = cli.enumerate_window
+
+    def counting(d, max_top, min_bottom):
+        calls[d, max_top, min_bottom] += 1
+        return real(d, max_top, min_bottom)
+
+    monkeypatch.setattr(cli, "enumerate_window", counting)
+    phi3 = Path(__file__).parent / "golden" / "phi3.json"
+    code, out, _ = run_main(["verify", "--suite", "lift", "--symbol", str(phi3)] + extra,
+                            capsys)
+    assert code == 0
+    report = json.loads(out)
+    tops = [row["maxTop"] for row in report["details"]["windows"]]
+    assert {(3, t, -t) for t in tops} <= set(calls)
+    assert set(calls.values()) == {1}, calls
+
+
 def test_verify_symbol_over_the_lattice_cap_is_domain_error(tmp_path, capsys, monkeypatch):
     import symtoep.symbols as symbols
 

@@ -1,9 +1,9 @@
-"""Cold start: a fresh process imports symtoep without scipy.
+"""Cold start: no symtoep process loads scipy.
 
-Only the Schur step of ``gamma check-unitary`` needs scipy, so it is
-imported there on first use.  These tests run fresh interpreters,
-because the test process itself already holds scipy through the
-``scipy.stats`` imports of other test modules.
+The library depends on numpy alone; scipy is a test dependency only.
+These tests run fresh interpreters, because the test process itself
+already holds scipy through the ``scipy.stats`` imports of other test
+modules.
 """
 
 import os
@@ -16,6 +16,7 @@ import symtoep
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(symtoep.__file__).resolve().parent.parent)
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
 
 def _fresh_python(args, cwd=None) -> subprocess.CompletedProcess:
@@ -26,16 +27,18 @@ def _fresh_python(args, cwd=None) -> subprocess.CompletedProcess:
 
 
 def test_importing_the_library_and_cli_loads_no_scipy():
-    proc = _fresh_python(["-c", (
-        "import sys, symtoep, symtoep.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")])
+    proc = _fresh_python(["-c", f"import sys, symtoep, symtoep.cli; print({SCIPY_MODULES})"])
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().strip() == "[]"
 
 
-def test_check_unitary_loads_scipy_on_demand_from_cold(tmp_path):
+def test_check_unitary_from_cold_matches_golden_without_scipy(tmp_path):
+    # the report goes to stdout, the module list to stderr after main returns
     shutil.copy(GOLDEN / "tuple.json", tmp_path / "tuple.json")
-    proc = _fresh_python(
-        ["-m", "symtoep.cli", "gamma", "check-unitary", "--tuple", "tuple.json"], cwd=tmp_path)
+    proc = _fresh_python(["-c", (
+        "import sys; from symtoep.cli import main; "
+        "code = main(['gamma', 'check-unitary', '--tuple', 'tuple.json']); "
+        f"print({SCIPY_MODULES}, file=sys.stderr); sys.exit(code)")], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / "gamma_check_unitary.json").read_bytes()
+    assert proc.stderr.decode().strip() == "[]"

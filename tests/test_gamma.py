@@ -171,6 +171,80 @@ def test_check_gamma_unitary_flags_degenerate_spectrum():
         check_gamma_unitary(t)
 
 
+def _normal_family(d: int, n: int, seed: int, repeat=None):
+    """d commuting normal n x n matrices in one random unitary basis, with
+    random complex spectra; `repeat` = (a, b) makes joint points a and b equal."""
+    rng = np.random.default_rng(seed)
+    q = unitary_group.rvs(n, random_state=seed) if n > 1 else np.eye(1)
+    out = []
+    for _ in range(d):
+        spectrum = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if repeat is not None:
+            spectrum[repeat[1]] = spectrum[repeat[0]]
+        out.append(q @ np.diag(spectrum) @ q.conj().T)
+    return out
+
+
+def _schur_joint_points(mats, seed: int) -> list:
+    """Reference route: the same seeded combination, Schur-diagonalized by scipy."""
+    import scipy.linalg
+
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+    combo = sum(ck * m for ck, m in zip(c, mats))
+    _, q = scipy.linalg.schur(combo, output="complex")
+    diags = [np.diag(q.conj().T @ m @ q) for m in mats]
+    return [tuple(complex(dk[k]) for dk in diags) for k in range(len(diags[0]))]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_joint_diagonalize_matches_the_schur_route(d, n):
+    for seed in range(4):
+        mats = _normal_family(d, n, seed=100 * d + 10 * n + seed)
+        got = gamma._joint_diagonalize(mats, 1e-8, seed)
+        want = _schur_joint_points(mats, seed)
+        # same points in the same order, coordinate by coordinate
+        assert len(got) == len(want) == n
+        assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-10
+
+
+def test_joint_diagonalize_coincident_joint_points_raise():
+    mats = _normal_family(3, 4, seed=5, repeat=(1, 3))
+    with pytest.raises(DegeneracyError, match="clustered"):
+        gamma._joint_diagonalize(mats, 1e-8, 42)
+    # repeat one joint point of a genuine gamma-unitary tuple
+    q = unitary_group.rvs(4, random_state=6)
+    phases = [np.exp(2j * np.pi * np.array([0.1, 0.3, 0.1, 0.7])),
+              np.exp(2j * np.pi * np.array([0.2, 0.5, 0.2, 0.9]))]
+    us = [q @ np.diag(ph) @ q.conj().T for ph in phases]
+    with pytest.raises(DegeneracyError, match="clustered"):
+        check_gamma_unitary(synth_gamma_unitary(us))
+
+
+def test_joint_diagonalize_rejects_a_family_without_a_common_basis():
+    a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    b = unitary_group.rvs(3, random_state=8)
+    with pytest.raises(DegeneracyError, match="common Schur basis"):
+        gamma._joint_diagonalize([a, b], 1e-8, 42)
+
+
+def test_non_commuting_tuple_fails_the_spectrum_item_by_its_algebraic_defect():
+    us_a = random_commuting_unitaries(2, 3, seed=11)
+    us_b = random_commuting_unitaries(2, 3, seed=12)
+    # both normal, but from different unitary bases, so they do not commute
+    t = GammaTuple(2, (us_a[0], us_b[1]))
+    report = check_gamma_unitary(t)
+    items = {item.name: item for item in report.items}
+    spectral = items["joint-spectrum-in-bGamma"]
+    algebraic = max(items["pairwise-commutation"].margin,
+                    items["normal-R_1"].margin, items["normal-U"].margin)
+    assert not items["pairwise-commutation"].ok
+    assert not spectral.ok
+    assert spectral.margin == algebraic == t.commutation_defect()
+    assert report.joint_points == []
+
+
 def test_isometry_battery_rejects_inflated_tuple():
     t = GammaTuple(2, (2.5 * np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
     report = check_gamma_isometry(t)
@@ -207,6 +281,29 @@ def test_isometry_battery_grid_maxima_match_the_pointwise_grid(d, grid_size):
         assert item.name == "f=" + "*".join(f"x{k + 1}^{a}" for k, a in enumerate(expo) if a)
         want = _old_grid_max(expo, grid_size)
         assert abs(-item.margin - want) <= 8 * math.ulp(want), (item.name, item.margin, want)
+
+
+def test_isometry_battery_lattice_cap_boundary(monkeypatch):
+    import symtoep.symbols as symbols
+
+    # d = 4: the largest monomial, e_1^3 in 3 variables, has 3^3 = 27 terms
+    t = GammaTuple(4, (np.zeros((1, 1)),) * 3 + (np.eye(1),))
+    monkeypatch.setattr(symbols, "MAX_LATTICE_TERMS", 27)
+    assert check_gamma_isometry(t, grid_size=2).passed
+    monkeypatch.setattr(symbols, "MAX_LATTICE_TERMS", 26)
+    with pytest.raises(MarginError, match="27 lattice terms, over the lattice cap"):
+        check_gamma_isometry(t, grid_size=2)
+
+
+def test_isometry_battery_over_the_lattice_cap_builds_nothing(monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("the battery expanded a monomial before counting its terms")
+
+    monkeypatch.setattr(gamma, "_elementary_monomial", no_expansion)
+    # d = 10 at grid 1 is one torus point, but C(9, 4)^3 = 2000376 lattice terms
+    t = GammaTuple(10, (np.zeros((1, 1)),) * 9 + (np.eye(1),))
+    with pytest.raises(MarginError, match="2000376 lattice terms"):
+        check_gamma_isometry(t, grid_size=1)
 
 
 def test_s_toeplitz_solver_hand_pair():
