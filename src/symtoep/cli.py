@@ -256,9 +256,11 @@ def _suite_block(args, phi, op, window):
 def _suite_lift(args, phi, op, window):
     tops = sorted({max(phi.d, args.maxtop // 4),
                    max(phi.d, args.maxtop // 2), args.maxtop})
-    # the largest lift window is the verify window, unless --minbottom moved its bottom
-    windows = [window if (t, -t) == (window.max_top, window.min_bottom)
-               else enumerate_window(phi.d, t, -t) for t in tops]
+    # the window for top t is [max(-t, bottom), t], so none reaches below the
+    # verify window, which is the one at --maxtop unless its bottom is below -maxtop
+    bottom = window.min_bottom
+    windows = [window if (t, max(-t, bottom)) == (window.max_top, bottom)
+               else enumerate_window(phi.d, t, max(-t, bottom)) for t in tops]
     report = lift_verify(phi, windows, seed=args.seed,
                          grid_size=args.grid, tol=args.tol)
     norms = [row.toeplitz_norm for row in report.rows]

@@ -840,12 +840,15 @@ def norm_estimate(m, iterations: int = 100, seed: int = 42) -> float:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)
+    # one buffer per vector, and np.linalg.norm's own operations on y's parts
+    y = np.empty_like(x)
+    yr, yi = y.real, y.imag
     for _ in range(iterations):
-        y = b @ x
-        ny = np.linalg.norm(y)
+        np.matmul(b, x, out=y)
+        ny = math.sqrt(yr.dot(yr) + yi.dot(yi))
         if ny < 1e-300:
             return 0.0
-        x = y / ny
+        np.divide(y, ny, out=x)
     r = float(np.real(np.vdot(x, b @ x)))
     return math.sqrt(max(r, 0.0))
 

@@ -16,11 +16,12 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import DomainError, require_budget
 
-# Largest window enumerate_window builds, counted in members before any is
-# made: about 40 MB of partitions and index at d = 3.  The largest window
-# the tests, the CLI goldens and the benchmark workloads build is
-# enumerate_window(3, 7, -7), 455 members, in a d = 3 lift_verify test.
-MAX_WINDOW_MEMBERS = 2 ** 18
+# Largest window enumerate_window builds, counted in entries (members x d)
+# before any member is made: about 21 MB of partitions and index at d = 2,
+# 13 MB at d = 3.  The largest window the tests, the CLI goldens and the
+# benchmark workloads build is enumerate_window(3, 20, -20), 10,660 members
+# of 3 entries, in a test of the dense cap.
+MAX_WINDOW_ENTRIES = 2 ** 18
 # Largest table of signed index permutations, d!, that the entry route
 # builds and caches: about 7 MB at d = 8 (8! = 40,320), while d = 9 does
 # not fit.  The largest d the tests reach on the entry route is 4, and the
@@ -213,8 +214,8 @@ def enumerate_window(d: int, max_top: int, min_bottom: int) -> Window:
     """All strict partitions with entries in [min_bottom, max_top].
 
     A range narrower than d values yields an empty window.  A window of
-    more than MAX_WINDOW_MEMBERS members raises MarginError before any
-    member is built.
+    more than MAX_WINDOW_ENTRIES entries (members x d) raises MarginError
+    before any member is built.
     """
     if d < 2:
         raise DomainError("windows need d >= 2")
@@ -222,12 +223,12 @@ def enumerate_window(d: int, max_top: int, min_bottom: int) -> Window:
     # C(n, d) >= 2^min(d, n - d): past 64 the count is over any cap without
     # computing it, which for math.comb(2**32, 2**31) would take minutes
     if min(d, n - d) > 64:
-        require_budget(2 ** 64, MAX_WINDOW_MEMBERS, "window",
+        require_budget(2 ** 64, MAX_WINDOW_ENTRIES, "window",
                        f"a window of C({n}, {d}) > 2^64 members", "use a narrower window")
     size = math.comb(n, d)
-    require_budget(size, MAX_WINDOW_MEMBERS, "window",
-                   f"a window of C({n}, {d}) = {size} members",
-                   "use a narrower window")
+    require_budget(size * d, MAX_WINDOW_ENTRIES, "window",
+                   f"a window of C({n}, {d}) = {size} members of {d} entries "
+                   f"has {size * d} entries", "use a narrower window")
     # combinations() allocates its d indices even when d > n
     members = [
         Partition._unsafe(tuple(sorted(c, reverse=True)))

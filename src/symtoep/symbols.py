@@ -9,7 +9,7 @@ sampled sup-norms are the only floating-point operations.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import comb, factorial, prod
 
 import numpy as np
@@ -19,14 +19,17 @@ from .partitions import orbit_permutations, orbit_size
 from .scalars import ComplexRational
 
 TORUS_TOL = 1e-12
-# Largest torus grid (grid_size**d points) torus_max accepts, so it bounds
-# both the sampled sup norm of a symbol (`lift`) and the grid maxima of the
-# Gamma_d-isometry battery.  The points are evaluated in chunks, so this
-# bounds work, not memory: one point per permutation orbit (about 1/d! of
-# the grid), then at most the whole grid again to certify the maximum.
-# The default lift grid of 128 fits up to d = 3 (128**3 = 2**21 points)
-# and not at d = 4.
-MAX_SAMPLE_POINTS = 2 ** 22
+# Largest torus sampling job torus_max accepts, counted in term evaluations
+# (lattice terms x grid points), once for its orbit pass of
+# C(grid_size + d - 1, d) points and once for its certification points,
+# each before it starts.  It bounds the maxima of both `lift` (sampledSup)
+# and the Gamma_d-isometry battery.  The default lift grid of 128 fits the
+# orbit pass of a d = 4 symbol of up to 11 lattice terms (C(131, 4) =
+# 11,716,640 points), and not the whole 128^4 grid of a one-term symbol of
+# constant modulus.  On one core of a 2-core x86 host, 2^27 evaluations
+# took 1.8 s in the orbit pass of z1 + z2 and 5.5 s on the whole grid of
+# z1 z2 z3 z4, where each term evaluation carries the most per-point work.
+MAX_TERM_EVALUATIONS = 2 ** 27
 # Largest orbit expansion lattice_terms builds, counted as the sum of
 # d!/prod(mult!) over the orbit representatives before any point is made:
 # about 12 MB of terms at d = 8, where one orbit of distinct entries
@@ -37,6 +40,11 @@ MAX_LATTICE_TERMS = 2 ** 16
 # Torus points torus_max evaluates at once; each of its complex
 # arrays then takes 256 KiB.
 _SAMPLE_CHUNK = 2 ** 14
+# Candidate orbit points torus_max keeps from its orbit pass, 16 MB of
+# ranks and values; past it the whole grid is certified instead.  Only a
+# symbol whose maximum is nearly attained on a set of full dimension, such
+# as one of constant modulus, comes close at d <= 4 and grid 128.
+_MAX_CANDIDATES = 2 ** 20
 
 
 def _validate_rep(m, d) -> tuple[int, ...]:
@@ -213,27 +221,33 @@ def torus_max(terms: list, d: int, grid_size: int) -> float:
     So one point per permutation orbit (a sorted index multiset) is
     evaluated, in chunks of _SAMPLE_CHUNK points, then every permutation of
     each point within rounding distance of their maximum: the result is bit
-    for bit the full-grid maximum, with the terms summed in their order.  A
-    grid over MAX_SAMPLE_POINTS raises MarginError before any work starts.
+    for bit the full-grid maximum, with the terms summed in their order.
+    The orbit pass keeps a running maximum and only the points within
+    rounding distance of it, not one value per orbit, and reuses its
+    chunk arrays.
+
+    The work is counted in term evaluations against MAX_TERM_EVALUATIONS
+    twice, raising MarginError before any point of the counted step is
+    evaluated: the orbit points first, then the certification points (the
+    candidates' permutations, or the whole grid when that is fewer).  A
+    power table or a sampled value that is not finite raises DomainError.
     """
     if grid_size < 1:
         raise DomainError("grid_size must be >= 1")
-    n_points = grid_size ** d
-    require_budget(n_points, MAX_SAMPLE_POINTS, "sampling",
-                   f"a grid of {grid_size}^{d} = {n_points} torus points",
-                   "use a smaller grid")
     if not terms:
         return 0.0
-    axis = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    powers = {e: axis ** e for point, _ in terms for e in point if e}
-
-    tables = _binomial_tables(grid_size, d)
+    if min(d, grid_size - 1) > 64:  # C(n, k) >= 2^min(k, n - k): over the cap uncomputed
+        require_budget(2 ** 64, MAX_TERM_EVALUATIONS, "sampling",
+                       f"a {grid_size}^{d} torus grid has more than 2^64 orbit points",
+                       "use a smaller grid")
     n_reps = comb(grid_size + d - 1, d)
-    rep_abs = np.empty(n_reps)
-    for start in range(0, n_reps, _SAMPLE_CHUNK):
-        stop = min(start + _SAMPLE_CHUNK, n_reps)
-        rep_abs[start:stop] = _modulus(
-            terms, powers, _sorted_multisets(tables, np.arange(start, stop)))
+    _require_evaluations(len(terms), n_reps, f"the {n_reps} orbit points of a {grid_size}^{d} grid")
+    axis = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = {e: axis ** e for point, _ in terms for e in point if e}
+    for e, table in powers.items():
+        if not np.isfinite(table).all():
+            raise DomainError(f"z^{e} is not finite in double precision on the torus grid")
 
     # Certification.  Let T(x) be the exact sum over the lattice terms
     # p of c_p * prod_k powers[p_k][x_k].  Its factors are table floats
@@ -250,26 +264,66 @@ def torus_max(terms: list, d: int, grid_size: int) -> float:
     magnitude = {e: float(np.abs(table).max()) for e, table in powers.items()}
     scale = sum(abs(c) * prod(magnitude[e] for e in point if e) for point, c in terms)
     bound = (len(terms) + d + 2) * 4 * np.finfo(float).eps * scale
-    floor = rep_abs.max() - 2 * bound if np.isfinite(4 * scale) else -np.inf
-    candidates = np.flatnonzero(~(rep_abs < floor))  # NaN stays a candidate
+    slack = 2 * bound if np.isfinite(4 * scale) else np.inf
 
+    n_points = grid_size ** d
     n_perms = factorial(d)
-    if len(candidates) * n_perms <= n_points:
-        perms = np.array(list(permutations(range(d))))
-        step = max(1, _SAMPLE_CHUNK // n_perms)
-        chunks = (_orbit_points(tables, candidates[i:i + step], perms)
-                  for i in range(0, len(candidates), step))
-    else:  # the whole grid is less work than the candidates' permutations
-        chunks = (
-            np.unravel_index(np.arange(i, min(i + _SAMPLE_CHUNK, n_points)), (grid_size,) * d)
-            for i in range(0, n_points, _SAMPLE_CHUNK))
-    return float(np.max([_modulus(terms, powers, idx).max() for idx in chunks]))
+    # past this many candidates the whole grid is evaluated instead, with the
+    # same maximum: it is then fewer points, or the candidates outgrow memory
+    limit = min(n_points // n_perms, _MAX_CANDIDATES)
+    size = min(_SAMPLE_CHUNK, n_points)
+    modulus = _modulus_kernel(terms, powers, size)
+    tables = _binomial_tables(grid_size, d)
+    peak = -np.inf
+    ranks, values = np.empty(0, dtype=np.int64), np.empty(0)
+    for start, idx in _orbit_chunks(tables, size):
+        chunk = modulus(idx)
+        top = _finite_max(chunk)
+        if top > peak:
+            peak = top
+            keep = values >= peak - slack
+            ranks, values = ranks[keep], values[keep]
+        near = np.flatnonzero(chunk >= peak - slack)
+        ranks = np.concatenate((ranks, near + start))
+        values = np.concatenate((values, chunk[near]))
+        if len(ranks) > limit:
+            break
+
+    if len(ranks) > limit:
+        _require_evaluations(len(terms), n_points, f"the whole {grid_size}^{d} grid")
+        chunks = _grid_chunks(grid_size, d, size)
+    else:
+        _require_evaluations(len(terms), len(ranks) * n_perms,
+                             f"the {len(ranks)} x {n_perms} permutations of the candidate points")
+        chunks = _candidate_points(tables, ranks)
+    return float(max(_finite_max(modulus(idx)) for idx in chunks))
+
+
+def _require_evaluations(n_terms: int, n_points: int, where: str) -> None:
+    """Raise MarginError if n_terms terms at n_points points are over the sampling cap."""
+    require_budget(n_terms * n_points, MAX_TERM_EVALUATIONS, "sampling",
+                   f"{n_terms} terms at {where} are {n_terms * n_points} term evaluations",
+                   "use a smaller grid or a symbol with fewer terms")
+
+
+def _finite_max(values: np.ndarray) -> float:
+    """Largest of the sampled moduli; DomainError if any is not finite."""
+    top = values.max()
+    if not np.isfinite(top):
+        raise DomainError("the sampled modulus is not finite in double precision")
+    return top
 
 
 def _binomial_tables(grid_size: int, d: int) -> list[np.ndarray]:
-    """comb(x, k) for x in range(grid_size + d - 1), one table per k in 1..d."""
-    return [np.array([comb(x, k) for x in range(grid_size + d - 1)], dtype=np.int64)
-            for k in range(1, d + 1)]
+    """comb(k - 1 + i, k) for i in range(grid_size + 1), one table per k in 1..d.
+
+    Each table is the running sum of the one before (Pascal's rule); the
+    last entry of table k counts the sorted k-multisets of range(grid_size).
+    """
+    tables = [np.arange(grid_size + 1, dtype=np.int64)]
+    for _ in range(d - 1):
+        tables.append(np.cumsum(tables[-1]))
+    return tables
 
 
 def _sorted_multisets(tables: list, ranks: np.ndarray) -> list[np.ndarray]:
@@ -278,45 +332,122 @@ def _sorted_multisets(tables: list, ranks: np.ndarray) -> list[np.ndarray]:
 
     The multiset is the d-subset c_1 < ... < c_d of range(grid_size + d - 1)
     with c_k = i_k + k - 1, and its rank is sum_k comb(c_k, k) (the
-    combinatorial number system), so each c_k is read off greedily from k = d.
+    combinatorial number system), so each i_k is read off greedily from
+    k = d; the first table is range(grid_size + 1), so i_1 is what is left.
     """
     idx = [None] * len(tables)
     rest = ranks
-    for k in range(len(tables), 0, -1):
+    for k in range(len(tables), 1, -1):
         table = tables[k - 1]
-        c = np.searchsorted(table, rest, side="right") - 1
-        rest = rest - table[c]
-        idx[k - 1] = c - (k - 1)
+        i = np.searchsorted(table, rest, side="right")
+        i -= 1
+        rest = rest - table[i]
+        idx[k - 1] = i
+    idx[0] = rest
     return idx
 
 
-def _orbit_points(tables: list, ranks: np.ndarray, perms: np.ndarray) -> list[np.ndarray]:
+def _orbit_chunks(tables: list, size: int):
+    """Yield (start, idx) over all sorted multisets in rank order, size at a
+    time: idx as from _sorted_multisets for the ranks start, start + 1, ...,
+    as views into arrays that the next chunk overwrites.
+
+    The ranks of a chunk are consecutive, so i_d steps up by one at each
+    entry of the last table inside the chunk.  Below it, each i_k is looked
+    up by what is left of the rank in a list of i_k over the ranks of the
+    k-multisets.  So no chunk allocates an array of its size.
+    """
+    d = len(tables)
+    grid_size = len(tables[0]) - 1
+    small = np.min_scalar_type(grid_size)
+    lookup = {k: np.repeat(np.arange(grid_size, dtype=small), np.diff(tables[k - 1]))
+              for k in range(2, d)}
+    base = np.arange(size)
+    rest, below = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    idx = [None] + [np.empty(size, dtype=small) for _ in range(1, d)]
+    last = tables[-1]
+    n_reps = int(last[-1])
+    for start in range(0, n_reps, size):
+        n = min(size, n_reps - start)
+        r, scratch = rest[:n], below[:n]
+        np.add(base[:n], start, out=r)
+        if d > 1:
+            i = idx[-1][:n]
+            lo, hi = np.searchsorted(last, (start, start + n - 1), side="right") - 1
+            i.fill(0)
+            i[last[lo + 1:hi + 1] - start] = 1
+            np.cumsum(i, out=i)
+            i += int(lo)
+            r -= np.take(last, i, out=scratch, mode="clip")
+        for k in range(d - 1, 1, -1):
+            i = np.take(lookup[k], r, out=idx[k - 1][:n], mode="clip")
+            r -= np.take(tables[k - 1], i, out=scratch, mode="clip")
+        yield start, [r] + [a[:n] for a in idx[1:]]
+
+
+def _candidate_points(tables: list, ranks: np.ndarray):
     """Coordinate index arrays of the sorted multisets with the given ranks,
-    each taken in every coordinate order listed in the rows of perms."""
-    points = np.stack(_sorted_multisets(tables, ranks), axis=1)[:, perms]
-    return [points[..., k].ravel() for k in range(len(tables))]
+    each taken in every coordinate order, in chunks of at most _SAMPLE_CHUNK
+    points (the orders themselves in blocks of at most _SAMPLE_CHUNK)."""
+    d = len(tables)
+    orders = permutations(range(d))
+    while block := list(islice(orders, _SAMPLE_CHUNK)):
+        perms = np.array(block)
+        step = max(1, _SAMPLE_CHUNK // len(perms))
+        for i in range(0, len(ranks), step):
+            points = np.stack(_sorted_multisets(tables, ranks[i:i + step]), axis=1)[:, perms]
+            yield [points[..., k].ravel() for k in range(d)]
 
 
-def _modulus(terms: list, powers: dict, idx: list) -> np.ndarray:
-    """|phi| at the grid points with coordinate index arrays idx.
+def _grid_chunks(grid_size: int, d: int, size: int):
+    """Yield the coordinate index arrays of all grid points in row-major
+    order, size at a time, as views into arrays that the next chunk overwrites."""
+    n_points = grid_size ** d
+    base = np.arange(size)
+    flat = np.empty(size, dtype=np.int64)
+    idx = [np.empty(size, dtype=np.int64) for _ in range(d)]
+    for start in range(0, n_points, size):
+        n = min(size, n_points - start)
+        f = np.add(base[:n], start, out=flat[:n])
+        for k in range(d - 1, -1, -1):
+            np.divmod(f, grid_size, out=(f, idx[k][:n]))
+        yield [a[:n] for a in idx]
+
+
+def _modulus_kernel(terms: list, powers: dict, size: int):
+    """Return modulus(idx), |f| at the at most size grid points with
+    coordinate index arrays idx, as a view into an array reused by the next
+    call.  Its arrays are allocated once, here.
 
     The operand order is fixed: terms are summed in lattice order and each
     term is multiplied by its coordinate powers as factor * term, from the
     first coordinate on.  Complex multiplication here is not bitwise
     commutative, so every point is evaluated the same way in every chunk.
+    No product is written over its own term: numpy swaps the operands of a
+    one-point product written in place.
     """
-    total = np.zeros(len(idx[0]), dtype=complex)
-    gathered = {}
-    for point, c in terms:
-        term = np.full(total.shape, c)
-        for k, e in enumerate(point):
-            if e:
-                factor = gathered.get((k, e))
-                if factor is None:
-                    factor = gathered[k, e] = powers[e][idx[k]]
-                term = np.multiply(factor, term)
-        total += term
-    return np.abs(total)
+    factors = {(k, e): np.empty(size, dtype=complex)
+               for point, _ in terms for k, e in enumerate(point) if e}
+    total = np.empty(size, dtype=complex)
+    terms_in, terms_out = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    out = np.empty(size)
+
+    def modulus(idx: list) -> np.ndarray:
+        n = len(idx[0])
+        for (k, e), factor in factors.items():
+            np.take(powers[e], idx[k], out=factor[:n], mode="clip")
+        acc = total[:n]
+        acc.fill(0)
+        for point, c in terms:
+            part, spare = terms_in[:n], terms_out[:n]
+            part.fill(c)
+            for k, e in enumerate(point):
+                if e:
+                    part, spare = np.multiply(factors[k, e][:n], part, out=spare), part
+            np.add(acc, part, out=acc)
+        return np.abs(acc, out=out[:n])
+
+    return modulus
 
 
 def zero_symbol(d: int) -> Symbol:

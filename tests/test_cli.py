@@ -10,7 +10,7 @@ from scipy.stats import unitary_group
 
 from symtoep import GammaTuple, analytic_window, elementary, synth_gamma_unitary
 from symtoep.cli import main
-from symtoep.symbols import MAX_SAMPLE_POINTS
+from symtoep.symbols import MAX_TERM_EVALUATIONS
 
 
 @pytest.fixture()
@@ -196,34 +196,66 @@ def test_grid_below_one_is_input_error(grid, selfadj_file, unitary_tuple_file, c
         assert "--grid" in err
 
 
+def _no_sampling(monkeypatch, *names):
+    import symtoep.symbols as symbols
+
+    def no_evaluation(*args):
+        raise AssertionError("torus_max evaluated points before counting them")
+
+    for name in names:
+        monkeypatch.setattr(symbols, name, no_evaluation)
+
+
 def test_verify_lift_grid_over_the_sampling_cap_is_domain_error(selfadj_file, capsys,
                                                                 monkeypatch):
+    import math
+
     import symtoep.operators as operators
 
     def no_assembly(*args):
         raise AssertionError("lift assembled windows before sampling the symbol")
 
     monkeypatch.setattr(operators, "assemble", no_assembly)
-    # 2049^2 points: just over the cap, about 70 MB per array if it were missing
+    _no_sampling(monkeypatch, "_modulus_kernel")
+    # z1 + z2 + conj: 4 lattice terms at C(grid + 1, 2) orbit points, one
+    # grid step over the cap (8192 at a cap of 2^27)
+    grid = math.isqrt(MAX_TERM_EVALUATIONS // 2)
+    while 4 * math.comb(grid + 1, 2) > MAX_TERM_EVALUATIONS:
+        grid -= 1
     code, out, err = run_main(
-        ["verify", "--suite", "lift", "--symbol", selfadj_file, "--grid", "2049"], capsys)
+        ["verify", "--suite", "lift", "--symbol", selfadj_file, "--grid", str(grid + 1)], capsys)
     assert (code, out) == (3, "")
     assert "domain error" in err and "sampling cap" in err
 
 
+def test_verify_lift_certification_over_the_sampling_cap_is_domain_error(tmp_path, capsys,
+                                                                         monkeypatch):
+    import symtoep.operators as operators
+
+    def no_assembly(*args):
+        raise AssertionError("lift assembled windows before sampling the symbol")
+
+    monkeypatch.setattr(operators, "assemble", no_assembly)
+    _no_sampling(monkeypatch, "_grid_chunks", "_candidate_points")
+    # |z1 z2 z3 z4| = 1: every orbit point is a candidate, so the orbit pass
+    # (C(131, 4) points, one term) fits and certifying on the whole 128^4
+    # grid does not
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"d": 4, "terms": [{"m": [1, 1, 1, 1], "re": "1", "im": "0"}]}))
+    code, out, err = run_main(["verify", "--suite", "lift", "--symbol", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert "domain error" in err and "whole 128^4 grid" in err and "sampling cap" in err
+
+
 def test_gamma_check_isometry_grid_over_the_sampling_cap_is_domain_error(
         unitary_tuple_file, capsys, monkeypatch):
-    import symtoep.symbols as symbols
-
-    def no_evaluation(*args):
-        raise AssertionError("check-isometry evaluated grid points before checking the grid size")
-
-    monkeypatch.setattr(symbols, "_modulus", no_evaluation)
-    # a d = 2 tuple samples a grid in d - 1 = 1 variable: one point over the cap
+    _no_sampling(monkeypatch, "_modulus_kernel")
+    # a d = 2 tuple samples a grid in d - 1 = 1 variable, and its first
+    # battery monomial x1 has one term: one grid point over the cap
     path, t = unitary_tuple_file
     assert t.d == 2
     code, out, err = run_main(
-        ["gamma", "check-isometry", "--tuple", path, "--grid", str(MAX_SAMPLE_POINTS + 1)],
+        ["gamma", "check-isometry", "--tuple", path, "--grid", str(MAX_TERM_EVALUATIONS + 1)],
         capsys)
     assert (code, out) == (3, "")
     assert "domain error" in err and "sampling cap" in err
@@ -245,6 +277,23 @@ def test_verify_window_over_the_cap_is_domain_error(selfadj_file, capsys, monkey
     assert (code, out) == (3, "")
     assert err.startswith("domain error:") and "window cap" in err
     assert "Traceback" not in err
+
+
+def test_matrix_window_over_the_entry_cap_is_domain_error(capsys, monkeypatch):
+    import types
+
+    import symtoep.partitions as partitions
+
+    def no_enumeration(*args):
+        raise AssertionError("matrix enumerated a window before counting its entries")
+
+    monkeypatch.setattr(partitions, "itertools", types.SimpleNamespace(combinations=no_enumeration))
+    # C(100001, 100000) = 100001 members of 100000 entries each
+    code, out, err = run_main(
+        ["matrix", "--kind", "shiftY", "--j", "1", "--d", "100000", "--maxtop", "100000"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error:") and "10000100000 entries" in err
+    assert "window cap" in err
 
 
 def test_verify_eta_over_the_eta_cap_is_domain_error(selfadj_file, capsys, monkeypatch):
@@ -304,8 +353,11 @@ def test_verify_lift_enumerates_each_window_once(extra, capsys, monkeypatch):
                             capsys)
     assert code == 0
     report = json.loads(out)
-    tops = [row["maxTop"] for row in report["details"]["windows"]]
-    assert {(3, t, -t) for t in tops} <= set(calls)
+    # the window for top t is [max(-t, bottom), t]: --minbottom bounds each
+    bottom = report["config"]["minbottom"]
+    windows = [(row["maxTop"], row["minBottom"]) for row in report["details"]["windows"]]
+    assert windows == [(t, max(-t, bottom)) for t, _ in windows]
+    assert {(3, t, b) for t, b in windows} <= set(calls)
     assert set(calls.values()) == {1}, calls
 
 

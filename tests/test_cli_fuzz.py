@@ -208,7 +208,7 @@ def _run(argv, files, directory):
 
 def test_every_cap_is_patched():
     names = {name for module in MODULES for name in dir(module) if name.startswith("MAX_")}
-    assert names >= {"MAX_WINDOW_MEMBERS", "MAX_INDEX_PERMUTATIONS", "MAX_SAMPLE_POINTS",
+    assert names >= {"MAX_WINDOW_ENTRIES", "MAX_INDEX_PERMUTATIONS", "MAX_TERM_EVALUATIONS",
                      "MAX_LATTICE_TERMS", "MAX_SOLVE_ENTRIES", "MAX_ETA_ENTRIES",
                      "MAX_DENSE_ENTRIES"}
 
@@ -251,6 +251,9 @@ def _identity_tuple(d):
      {"tuple.json": _identity_tuple(2)}, 2),
     (["gamma", "check-isometry", "--tuple", "tuple.json", "--grid", "1"],
      {"tuple.json": _identity_tuple(10)}, 3),
+    # z1^(10^30) overflows the power table: no NaN sampledSup may pass
+    (["verify", "--suite", "lift", "--symbol", "phi.json", "--maxtop", "3", "--grid", "8"],
+     {"phi.json": {"d": 2, "terms": [{"m": [10 ** 30, 0], "re": "1", "im": "0"}]}}, 3),
 ])
 def test_fuzz_findings_exit_cleanly(argv, files, code, tmp_path):
     got, out, err = _run(argv, files, tmp_path)

@@ -31,9 +31,10 @@ GOLDEN = Path(__file__).parent / "golden"
     ("gamma_check_unitary", ["gamma", "check-unitary", "--tuple", "tuple.json"], 0),
     ("lift_d3", ["verify", "--suite", "lift", "--symbol", "phi3.json"], 0),
     ("gamma_check_isometry", ["gamma", "check-isometry", "--tuple", "tuple.json"], 0),
+    ("lift_d4", ["verify", "--suite", "lift", "--symbol", "phi4.json"], 0),
 ])
 def test_verify_stdout_matches_golden(name, argv, code, tmp_path, monkeypatch, capsys):
-    for source in ("phi.json", "phi3.json", "tuple.json"):
+    for source in ("phi.json", "phi3.json", "phi4.json", "tuple.json"):
         shutil.copy(GOLDEN / source, tmp_path / source)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code

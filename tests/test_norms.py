@@ -1,5 +1,8 @@
 """Windowed norm estimation and the Laurent lift consistency report."""
 
+import math
+
+import numpy as np
 import pytest
 
 from symtoep import (
@@ -84,6 +87,29 @@ def test_zero_window_norm_builds_no_dense_matrix(monkeypatch):
 def test_seed_determinism():
     m = toeplitz_matrix(2, elementary(2, 1), 5)
     assert norm_estimate(m, seed=7) == norm_estimate(m, seed=7)
+
+
+def _power_iteration(a, iterations, seed):
+    """norm_estimate's loop written with a fresh array per step, as the reference."""
+    b = a.conj().T @ a
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(b.shape[0]) + 1j * rng.standard_normal(b.shape[0])
+    x /= np.linalg.norm(x)
+    for _ in range(iterations):
+        y = b @ x
+        ny = np.linalg.norm(y)
+        if ny < 1e-300:
+            return 0.0
+        x = y / ny
+    return math.sqrt(max(float(np.real(np.vdot(x, b @ x))), 0.0))
+
+
+@pytest.mark.parametrize("n", [1, 28, 135, 286])
+def test_norm_estimate_equals_the_reference_loop_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for iterations, seed in ((100, 42), (200, 7)):
+        assert norm_estimate(a, iterations, seed) == _power_iteration(a, iterations, seed)
 
 
 @pytest.mark.parametrize("d", [2, 3])

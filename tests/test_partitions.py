@@ -161,9 +161,9 @@ def test_window_cap_counts_before_enumerating(monkeypatch):
 
 
 def test_window_cap_boundary(monkeypatch):
-    monkeypatch.setattr(partitions, "MAX_WINDOW_MEMBERS", comb(10, 3))
+    monkeypatch.setattr(partitions, "MAX_WINDOW_ENTRIES", 3 * comb(10, 3))
     assert len(enumerate_window(3, 9, 0)) == comb(10, 3)
-    with pytest.raises(MarginError, match="C\\(11, 3\\) = 165"):
+    with pytest.raises(MarginError, match="C\\(11, 3\\) = 165 members of 3 entries has 495"):
         enumerate_window(3, 10, 0)
     # a range below min_bottom holds no values, so the count is 0, not an error
     assert len(enumerate_window(3, -5, 0)) == 0

@@ -24,7 +24,7 @@ from symtoep import (
     zero_symbol,
 )
 from symtoep.gamma import _elementary_monomial
-from symtoep.symbols import MAX_SAMPLE_POINTS, torus_max
+from symtoep.symbols import MAX_TERM_EVALUATIONS, torus_max
 from conftest import symbol_battery
 
 
@@ -229,15 +229,132 @@ def test_sup_norm_certifies_the_orbit_maximum(phi, grid_size, expected):
     assert phi.sup_norm_sampled(grid_size) == _symbol_sup(phi, grid_size) == expected
 
 
-def test_sup_norm_sampling_cap():
-    # the default lift grid of 128 fits up to d = 3, and not at d = 4
-    assert 128 ** 3 <= MAX_SAMPLE_POINTS < 128 ** 4
-    # one grid step over the cap at d = 2 (about 70 MB per array without it)
-    grid = math.isqrt(MAX_SAMPLE_POINTS) + 1
+def _no_evaluation(monkeypatch):
+    import symtoep.symbols as symbols
+
+    def modulus_kernel(*args):
+        raise AssertionError("torus_max evaluated points before counting them")
+
+    monkeypatch.setattr(symbols, "_modulus_kernel", modulus_kernel)
+
+
+def test_sup_norm_sampling_cap(monkeypatch):
+    # the default lift grid of 128 fits the orbit pass of a d = 4 symbol of
+    # 6 lattice terms, and not the whole 128^4 grid of a one-term symbol
+    assert 6 * math.comb(128 + 3, 4) <= MAX_TERM_EVALUATIONS < 128 ** 4
+    _no_evaluation(monkeypatch)
+    # one grid step over the cap for the orbit pass of z1 + z2 (2 terms)
+    grid = next(g for g in itertools.count(1) if 2 * math.comb(g + 1, 2) > MAX_TERM_EVALUATIONS)
     with pytest.raises(MarginError, match="sampling cap"):
         elementary(2, 1).sup_norm_sampled(grid)
     with pytest.raises(DomainError):
         elementary(2, 1).sup_norm_sampled(0)
+
+
+def test_sampling_budget_counts_each_step_before_it_starts(monkeypatch):
+    import symtoep.symbols as symbols
+
+    phi = elementary(2, 1)  # z1 + z2: 2 terms, 136 orbit points at grid 16
+    monkeypatch.setattr(symbols, "MAX_TERM_EVALUATIONS", 2 * 136)
+    assert phi.sup_norm_sampled(16) == _symbol_sup(phi, 16)
+    evaluated = []
+    kernel = symbols._modulus_kernel
+
+    def counting_kernel(*args):
+        modulus = kernel(*args)
+
+        def counted(idx):
+            evaluated.append(len(idx[0]))
+            return modulus(idx)
+
+        return counted
+
+    monkeypatch.setattr(symbols, "_modulus_kernel", counting_kernel)
+    monkeypatch.setattr(symbols, "MAX_TERM_EVALUATIONS", 2 * 136 - 1)
+    with pytest.raises(MarginError, match="272 term evaluations.*sampling cap"):
+        phi.sup_norm_sampled(16)
+    assert evaluated == []
+    # |z1 z2| = 1: every orbit point is a candidate, and their permutations
+    # (2 * 136) are more than the whole grid (256), which is over this cap
+    monkeypatch.setattr(symbols, "MAX_TERM_EVALUATIONS", 255)
+    with pytest.raises(MarginError, match="the whole 16\\^2 grid are 256 term evaluations"):
+        Symbol(2, {(1, 1): 1}).sup_norm_sampled(16)
+    assert evaluated == [136]
+
+
+def test_sup_norm_of_a_non_finite_symbol_is_domain_error():
+    # z1^(10^30) is not a float; 10^308 (z1 + z2) overflows at z1 = z2 = 1
+    with pytest.raises(DomainError, match="not finite"):
+        Symbol(2, {(10 ** 30, 0): 1}).sup_norm_sampled(8)
+    with pytest.raises(DomainError, match="not finite"):
+        Symbol(2, {(1, 0): 10 ** 308}).sup_norm_sampled(8)
+
+
+@st.composite
+def small_symbols(draw):
+    d = draw(st.integers(2, 4))
+    rep = st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(
+        lambda m: tuple(sorted(m, reverse=True)))
+    part = st.fractions(-9, 9, max_denominator=5)
+    coeff = st.builds(ComplexRational, part, part)
+    return Symbol(d, draw(st.dictionaries(rep, coeff, min_size=1, max_size=4)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(phi=small_symbols(), grid_size=st.integers(1, 9),
+       chunk=st.sampled_from([1, 3, 8, 2 ** 14]), candidates=st.sampled_from([1, 5, 2 ** 20]))
+@example(phi=Symbol(4, {(1, 1, 1, 1): ComplexRational(-3, 4)}), grid_size=9, chunk=8,
+         candidates=2 ** 20)
+@example(phi=Symbol(3, {(2, 2, 2): 1}), grid_size=7, chunk=3, candidates=5)
+def test_torus_max_streams_to_the_full_grid_maximum(phi, grid_size, chunk, candidates):
+    # small chunks cross the chunk, pruning and permutation-block boundaries;
+    # a small candidate limit sends the certification to the whole grid.
+    # The examples have constant modulus, so every orbit point is a candidate.
+    import symtoep.symbols as symbols
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbols, "_SAMPLE_CHUNK", chunk)
+        mp.setattr(symbols, "_MAX_CANDIDATES", candidates)
+        assert phi.sup_norm_sampled(grid_size) == _symbol_sup(phi, grid_size)
+
+
+def test_orbit_chunks_list_the_sorted_multisets_in_rank_order():
+    from symtoep.symbols import _binomial_tables, _orbit_chunks, _sorted_multisets
+
+    for d in range(1, 5):
+        for grid_size in range(1, 7):
+            tables = _binomial_tables(grid_size, d)
+            n = math.comb(grid_size + d - 1, d)
+            points = list(zip(*(a.tolist() for a in _sorted_multisets(tables, np.arange(n)))))
+            assert points == sorted(itertools.combinations_with_replacement(range(grid_size), d),
+                                    key=lambda p: p[::-1])
+            for size in (1, 4, 64):
+                streamed = [p for _, idx in _orbit_chunks(tables, size)
+                            for p in zip(*(a.tolist() for a in idx))]
+                assert streamed == points, (d, grid_size, size)
+
+
+@pytest.mark.parametrize("phi,limit_mb", [
+    # the cli-suites d = 3 symbol shape: 12 lattice terms, 357,760 orbit points
+    (Symbol(3, {(1, 0, 0): ComplexRational(2, -1), (1, 0, -1): ComplexRational(-1, 3),
+                (0, 0, -1): ComplexRational(1, 1)}), 4),
+    # the d = 4 lift golden symbol: 6 lattice terms, 11,716,640 orbit points
+    (Symbol(4, {(2, 0, 0, 0): ComplexRational.from_strings("1", "1/2"),
+                (0, 0, 0, 0): ComplexRational.from_strings("-1/3", "0"),
+                (-1, -1, -1, -1): ComplexRational.from_strings("1/2", "-1")}), 16),
+], ids=["d3", "d4"])
+def test_sup_norm_sampling_memory_is_bounded(phi, limit_mb):
+    # one float per orbit point would take 2.9 MB at d = 3 and 94 MB at d = 4
+    import tracemalloc
+
+    phi.lattice_terms()
+    tracemalloc.start()
+    try:
+        phi.sup_norm_sampled(128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2 ** 20
 
 
 def _no_orbit_enumeration(monkeypatch):
