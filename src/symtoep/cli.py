@@ -159,19 +159,11 @@ def _emit(text: str, out: str | None) -> None:
 # matrix command
 
 
-def _matrix_windows(args) -> tuple[Window, Window]:
-    d, top = args.d, args.maxtop
-    bottom = -top if args.minbottom is None else args.minbottom
-    if args.kind in ("toeplitz", "shiftY"):
-        win = analytic_window(d, top)
-        return win, win
-    if args.kind == "laurent":
-        win = enumerate_window(d, top, bottom)
-        return win, win
-    if args.kind == "hankel":
-        return dual_window(d, top, bottom), analytic_window(d, top)
-    win = dual_window(d, top, bottom)
-    return win, win
+def _window(kind: str, d: int, top: int, bottom: int) -> Window:
+    """The analytic, dual or full window up to top; the analytic one ignores bottom."""
+    if kind == "analytic":
+        return analytic_window(d, top)
+    return (dual_window if kind == "dual" else enumerate_window)(d, top, bottom)
 
 
 def _check_maxtop(maxtop: int | None) -> None:
@@ -184,23 +176,30 @@ def _check_grid(grid: int) -> None:
         raise _InputError(f"--grid must be >= 1, got {grid}")
 
 
+# --kind: operator class, row window kind, column window kind
+_KINDS = {
+    "toeplitz": (Toeplitz, "analytic", "analytic"),
+    "laurent": (Laurent, "full", "full"),
+    "hankel": (Hankel, "dual", "analytic"),
+    "dual": (DualToeplitz, "dual", "dual"),
+    "shiftY": (ShiftY, "analytic", "analytic"),
+}
+
+
 def _cmd_matrix(args) -> int:
     _check_maxtop(args.maxtop)
-    if args.kind == "shiftY":
+    op_class, row_kind, col_kind = _KINDS[args.kind]
+    if op_class is ShiftY:
         if args.j is None:
             raise _InputError("--kind shiftY requires --j")
         op: OperatorSpec = ShiftY(args.d, args.j)
     else:
         if args.symbol is None:
             raise _InputError(f"--kind {args.kind} requires --symbol")
-        phi = _read_symbol(args.symbol, args.d)
-        op = {
-            "toeplitz": Toeplitz,
-            "laurent": Laurent,
-            "hankel": Hankel,
-            "dual": DualToeplitz,
-        }[args.kind](phi)
-    rows, cols = _matrix_windows(args)
+        op = op_class(_read_symbol(args.symbol, args.d))
+    d, top = args.d, args.maxtop
+    bottom = -top if args.minbottom is None else args.minbottom
+    rows, cols = _window(row_kind, d, top, bottom), _window(col_kind, d, top, bottom)
     matrix = assemble(op, rows, cols)
     if args.format == "csv":
         _emit(matrix.to_csv_text(), args.out)
@@ -277,69 +276,45 @@ def _suite_eta(args, phi, op, window):
     return report.is_zero(), [], [report.block_norm], report.to_json_dict()
 
 
+# suite: runner, window kind, the operator --symbol builds (None: the suite
+# reads only the symbol), and the default --maxtop from the height h and d
 _SUITES = {
-    "brown-halmos": (_suite_brown_halmos, "analytic"),
-    "analytic": (_suite_analytic, "analytic"),
-    "defect": (_suite_defect, "analytic"),
-    "block": (_suite_block, "full"),
-    "dual-brown-halmos": (_suite_brown_halmos, "dual"),
-    "lift": (_suite_lift, "full"),
-    "decay": (_suite_decay, "analytic"),
-    "eta": (_suite_eta, "analytic"),
+    "brown-halmos": (_suite_brown_halmos, "analytic", Toeplitz, lambda h, d: h + 4),
+    "analytic": (_suite_analytic, "analytic", None, lambda h, d: h + d + 2),
+    "defect": (_suite_defect, "analytic", None, lambda h, d: 2 * h + 2),
+    "block": (_suite_block, "full", None, lambda h, d: h + 2),
+    "dual-brown-halmos": (_suite_brown_halmos, "dual", DualToeplitz, lambda h, d: h + 4),
+    "lift": (_suite_lift, "full", None, lambda h, d: h + 2),
+    "decay": (_suite_decay, "analytic", Toeplitz, lambda h, d: h + d + 8),
+    "eta": (_suite_eta, "analytic", Toeplitz, lambda h, d: h + d + 4),
 }
-
-_SYMBOL_ONLY = {"analytic", "defect", "block", "lift"}
-
-
-def _default_maxtop(suite: str, phi: Symbol | None, d: int) -> int:
-    height = 1 if phi is None else max(phi.height(), 1)
-    if suite == "analytic":
-        return height + d + 2
-    if suite == "defect":
-        return 2 * height + 2
-    if suite in ("block", "lift"):
-        return height + 2
-    if suite == "eta":
-        return height + d + 4
-    if suite == "decay":
-        return height + d + 8
-    return height + 4
 
 
 def _cmd_verify(args) -> int:
-    runner, window_kind = _SUITES[args.suite]
+    runner, window_kind, op_class, default_top = _SUITES[args.suite]
     _check_maxtop(args.maxtop)
     _check_grid(args.grid)
-    phi = None
-    op: OperatorSpec | None = None
+    if args.symbol is None and args.operator is None:
+        raise _InputError("verify requires --symbol or --operator")
+    phi = op = None
     if args.symbol is not None:
         phi = _read_symbol(args.symbol, args.d)
         d = phi.d
-        if args.suite == "dual-brown-halmos":
-            op = DualToeplitz(phi)
-        else:
-            op = Toeplitz(phi)
+        op = None if op_class is None else op_class(phi)
     if args.operator is not None:
-        if args.suite in _SYMBOL_ONLY:
+        if op_class is None:
             raise _InputError(f"suite {args.suite} requires --symbol")
         if args.d is None:
             raise _InputError("--operator requires --d")
         d = args.d
         op = _parse_operator(args.operator, d)
         phi = None
-    if op is None:
-        raise _InputError("verify requires --symbol or --operator")
 
-    top = args.maxtop if args.maxtop is not None else _default_maxtop(
-        args.suite, phi, d)
+    height = 1 if phi is None else max(phi.height(), 1)
+    top = args.maxtop if args.maxtop is not None else default_top(height, d)
     args.maxtop = top
     bottom = -top if args.minbottom is None else args.minbottom
-    if window_kind == "analytic":
-        window = analytic_window(d, top)
-    elif window_kind == "dual":
-        window = dual_window(d, top, bottom)
-    else:
-        window = enumerate_window(d, top, bottom)
+    window = _window(window_kind, d, top, bottom)
     if not len(window):
         raise MarginError(
             f"the {window_kind} window for d={d} is empty; widen --maxtop/--minbottom")
@@ -391,29 +366,30 @@ def _cmd_gamma_member(args) -> int:
     }, args.out)
 
 
+def _tuple_check(args, report, **config) -> int:
+    """Emit a tuple check's report; config holds the options the check reads
+    besides --tuple and --tol."""
+    details = report.to_json_dict()
+    return _report({
+        "check": details["check"],
+        "config": {"command": f"gamma {args.action}", "tuple": args.tuple,
+                   "tol": args.tol, **config},
+        "verdict": report.passed,
+        "details": details,
+    }, args.out)
+
+
 def _cmd_gamma_check_unitary(args) -> int:
     t = _read_tuple(args.tuple)
-    report = check_gamma_unitary(t, tol=args.tol, seed=args.seed)
-    return _report({
-        "check": "gamma-unitary",
-        "config": {"command": "gamma check-unitary", "tuple": args.tuple,
-                   "tol": args.tol, "seed": args.seed},
-        "verdict": report.passed,
-        "details": report.to_json_dict(),
-    }, args.out)
+    return _tuple_check(args, check_gamma_unitary(t, tol=args.tol, seed=args.seed),
+                        seed=args.seed)
 
 
 def _cmd_gamma_check_isometry(args) -> int:
     _check_grid(args.grid)
     t = _read_tuple(args.tuple)
-    report = check_gamma_isometry(t, tol=args.tol, grid_size=args.grid)
-    return _report({
-        "check": "gamma-isometry",
-        "config": {"command": "gamma check-isometry", "tuple": args.tuple,
-                   "tol": args.tol, "grid": args.grid},
-        "verdict": report.passed,
-        "details": report.to_json_dict(),
-    }, args.out)
+    return _tuple_check(args, check_gamma_isometry(t, tol=args.tol, grid_size=args.grid),
+                        grid=args.grid)
 
 
 def _cmd_gamma_solve(args) -> int:
@@ -437,13 +413,18 @@ def _cmd_gamma_solve(args) -> int:
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="numerical tolerance (exact checks ignore it)")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="seed for randomized estimates")
-    parser.add_argument("--out", default=None,
-                        help="write output to this path instead of stdout")
+_OPTIONS = {
+    "--tol": dict(type=float, default=1e-9,
+                  help="numerical tolerance (exact checks ignore it)"),
+    "--seed": dict(type=int, default=42, help="seed for randomized estimates"),
+    "--out": dict(default=None, help="write output to this path instead of stdout"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add the shared options a subcommand reads."""
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--minbottom", type=int, default=None,
                         help="lower window bound (default -maxtop)")
     matrix.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(matrix)
+    _add_options(matrix, "--out")
     matrix.set_defaults(func=_cmd_matrix)
 
     verify = sub.add_parser("verify", help="run one verification suite")
@@ -483,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shift/partner index for eta and decay")
     verify.add_argument("--grid", type=int, default=128,
                         help="torus sampling grid size")
-    _add_common(verify)
+    _add_options(verify, "--tol", "--seed", "--out")
     verify.set_defaults(func=_cmd_verify)
 
     gamma = sub.add_parser("gamma", help="symmetrized-polydisk checks")
@@ -495,23 +476,23 @@ def build_parser() -> argparse.ArgumentParser:
     member.add_argument("--d", type=int, default=None)
     member.add_argument("--boundary", action="store_true",
                         help="test distinguished-boundary membership")
-    _add_common(member)
+    _add_options(member, "--tol", "--out")
     member.set_defaults(func=_cmd_gamma_member)
 
     unitary = gsub.add_parser("check-unitary")
     unitary.add_argument("--tuple", required=True, help="tuple JSON file")
-    _add_common(unitary)
+    _add_options(unitary, "--tol", "--seed", "--out")
     unitary.set_defaults(func=_cmd_gamma_check_unitary)
 
     isometry = gsub.add_parser("check-isometry")
     isometry.add_argument("--tuple", required=True, help="tuple JSON file")
     isometry.add_argument("--grid", type=int, default=16)
-    _add_common(isometry)
+    _add_options(isometry, "--tol", "--out")
     isometry.set_defaults(func=_cmd_gamma_check_isometry)
 
     solve = gsub.add_parser("solve-toeplitz")
     solve.add_argument("--tuple", required=True, help="tuple JSON file")
-    _add_common(solve)
+    _add_options(solve, "--tol", "--out")
     solve.set_defaults(func=_cmd_gamma_solve)
 
     return parser
@@ -521,7 +502,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:  # numpy's generators take non-negative seeds only
+        # numpy's generators take non-negative seeds only
+        if getattr(args, "seed", 0) < 0:
             raise _InputError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except _InputError as exc:

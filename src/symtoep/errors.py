@@ -21,7 +21,8 @@ def require_budget(count: int, cap: int, name: str, what: str, hint: str) -> Non
 
 
 class DegeneracyError(RuntimeError):
-    """Joint diagonalization hit a (near-)degenerate spectrum; re-run with another seed."""
+    """A family failed to diagonalize in one common basis (it does not commute,
+    or its random combination merged joint points); re-run with another seed."""
 
 
 class NotToeplitzError(ValueError):

@@ -406,7 +406,6 @@ class MatrixWindow:
     rows: Window
     cols: Window
     entries: dict = field(default_factory=dict)  # (row_idx, col_idx) -> ComplexRational
-    exact: bool = True
 
     def is_zero(self) -> bool:
         return not any(self.entries.values())
@@ -456,7 +455,7 @@ class MatrixWindow:
         return {
             "rows": self.rows.to_json_dict(),
             "cols": self.cols.to_json_dict(),
-            "exact": self.exact,
+            "exact": True,
             "entries": ent,
         }
 

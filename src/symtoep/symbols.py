@@ -438,14 +438,16 @@ def _modulus_kernel(terms: list, powers: dict, size: int):
             np.take(powers[e], idx[k], out=factor[:n], mode="clip")
         acc = total[:n]
         acc.fill(0)
-        for point, c in terms:
-            part, spare = terms_in[:n], terms_out[:n]
-            part.fill(c)
-            for k, e in enumerate(point):
-                if e:
-                    part, spare = np.multiply(factors[k, e][:n], part, out=spare), part
-            np.add(acc, part, out=acc)
-        return np.abs(acc, out=out[:n])
+        # an overflow leaves a non-finite modulus, which _finite_max rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            for point, c in terms:
+                part, spare = terms_in[:n], terms_out[:n]
+                part.fill(c)
+                for k, e in enumerate(point):
+                    if e:
+                        part, spare = np.multiply(factors[k, e][:n], part, out=spare), part
+                np.add(acc, part, out=acc)
+            return np.abs(acc, out=out[:n])
 
     return modulus
 

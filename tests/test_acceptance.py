@@ -75,7 +75,7 @@ def test_criterion_1_exact_brown_halmos_battery():
             failures.append(f"battery too small for d={d}: {len(battery)}")
         for phi in battery:
             for idx, res in enumerate(bh_residuals(Toeplitz(phi), window)):
-                if not (res.exact and res.is_zero()):
+                if not (res.to_json_dict()["exact"] and res.is_zero()):
                     failures.append(
                         (d, dict(phi.coeffs), idx, res.nonzero_witnesses(1)))
     finish(1, "exact Brown-Halmos battery", started, failures, budget=60.0)

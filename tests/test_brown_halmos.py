@@ -36,7 +36,7 @@ def test_battery_residuals_vanish(d, top):
         residuals = bh_residuals(Toeplitz(phi), window)
         assert len(residuals) == d
         for res in residuals:
-            assert res.exact
+            assert res.to_json_dict()["exact"] is True
             assert res.is_zero(), (phi, res.nonzero_witnesses(1))
 
 
@@ -148,7 +148,7 @@ def test_product_defect_on_battery_pairs(d):
             top = phi.height() + psi.height() + 2
             window = analytic_window(d, top)
             defect = product_defect(phi, psi, window)
-            assert defect.exact
+            assert defect.to_json_dict()["exact"] is True
             assert defect.is_zero(), (phi, psi, defect.nonzero_witnesses(1))
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from scipy.stats import unitary_group
 from symtoep import GammaTuple, analytic_window, elementary, synth_gamma_unitary
 from symtoep.cli import main
 from symtoep.symbols import MAX_TERM_EVALUATIONS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -403,6 +406,31 @@ def test_matrix_negative_maxtop_is_input_error(s1_file, capsys):
     assert "--maxtop" in err
 
 
+# default --maxtop of every suite, as a function of the input: phi.json and
+# phi3.json have height 1; a symbol-only suite refuses --operator with exit 2,
+# and ShiftY has no columns on the dual window, so it exits 3
+_SYMBOL_D2, _SYMBOL_D3 = ["--symbol", str(GOLDEN / "phi.json")], ["--symbol", str(GOLDEN / "phi3.json")]
+_SHIFT = ["--operator", "shiftY1", "--d", "2"]
+
+
+@pytest.mark.parametrize("suite,source,code,maxtop", [
+    ("brown-halmos", _SYMBOL_D2, 0, 5), ("brown-halmos", _SYMBOL_D3, 0, 5),
+    ("brown-halmos", _SHIFT, 1, 5),
+    ("analytic", _SYMBOL_D2, 0, 5), ("analytic", _SYMBOL_D3, 0, 6), ("analytic", _SHIFT, 2, None),
+    ("defect", _SYMBOL_D2, 0, 4), ("defect", _SYMBOL_D3, 0, 4), ("defect", _SHIFT, 2, None),
+    ("block", _SYMBOL_D2, 0, 3), ("block", _SYMBOL_D3, 0, 3), ("block", _SHIFT, 2, None),
+    ("dual-brown-halmos", _SYMBOL_D2, 0, 5), ("dual-brown-halmos", _SYMBOL_D3, 0, 5),
+    ("dual-brown-halmos", _SHIFT, 3, None),
+    ("lift", _SYMBOL_D2, 0, 3), ("lift", _SYMBOL_D3, 0, 3), ("lift", _SHIFT, 2, None),
+    ("decay", _SYMBOL_D2, 0, 11), ("decay", _SYMBOL_D3, 0, 12), ("decay", _SHIFT, 1, 11),
+    ("eta", _SYMBOL_D2, 1, 7), ("eta", _SYMBOL_D3, 1, 8), ("eta", _SHIFT, 1, 7),
+])
+def test_verify_default_maxtop(suite, source, code, maxtop, capsys):
+    got, out, _ = run_main(["verify", "--suite", suite] + source, capsys)
+    assert got == code
+    assert (json.loads(out)["config"]["maxtop"] if out else None) == maxtop
+
+
 def test_verify_decay_passes_seed(selfadj_file, capsys, monkeypatch):
     import symtoep.cli as cli
 
@@ -466,8 +494,6 @@ _TUPLE_TEXT = ('{"d": 2, "mats": [[[[0, 0], [X, 0]], [[X, 0], [0, 0]]], '
                '[[[X, 0], [0, 0]], [[0, 0], [X, 0]]]]}')
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("action", ["check-unitary", "check-isometry",
                                     "solve-toeplitz"])
 @pytest.mark.parametrize("entry,code,message", [
@@ -531,3 +557,30 @@ def test_argparse_rejects_unknown_choice(capsys):
         main(["matrix", "--kind", "bogus", "--d", "2", "--maxtop", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--kind", "shiftY", "--j", "1", "--d", "2", "--maxtop", "2", "--tol", "1e-9"],
+    ["matrix", "--kind", "shiftY", "--j", "1", "--d", "2", "--maxtop", "2", "--seed", "1"],
+    ["gamma", "member", "--point", "0,0", "--seed", "1"],
+    ["gamma", "check-isometry", "--tuple", "tuple.json", "--seed", "1"],
+    ["gamma", "solve-toeplitz", "--tuple", "tuple.json", "--seed", "1"],
+])
+def test_an_option_the_command_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_overflowing_modulus_prints_only_the_domain_error(tmp_path):
+    # numpy's overflow warning, with its source line, once reached stderr first
+    path = tmp_path / "big.json"
+    path.write_text('{"d": 2, "terms": [{"m": [1, 0], "re": "1e308", "im": "0"}]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "symtoep.cli", "verify", "--suite", "lift",
+         "--maxtop", "3", "--symbol", str(path)],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("domain error: ")

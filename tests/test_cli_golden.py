@@ -1,4 +1,4 @@
-"""Byte-for-byte stdout of the verify suites and two gamma checks, pinned to stored reports.
+"""Byte-for-byte stdout of every CLI command, pinned to stored reports.
 
 The reports in tests/golden fix every byte, config block included, so
 the symbol and tuple files are passed by relative paths from a fresh
@@ -34,9 +34,27 @@ GOLDEN = Path(__file__).parent / "golden"
     ("lift_d4", ["verify", "--suite", "lift", "--symbol", "phi4.json"], 0),
 ])
 def test_verify_stdout_matches_golden(name, argv, code, tmp_path, monkeypatch, capsys):
+    _check_golden(f"{name}.json", argv, code, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("stored,argv,code", [
+    ("matrix_dual.json", ["matrix", "--kind", "dual", "--symbol", "phi.json", "--d", "2",
+                          "--maxtop", "2", "--format", "json"], 0),
+    ("matrix_hankel.csv", ["matrix", "--kind", "hankel", "--symbol", "phi.json", "--d", "2",
+                           "--maxtop", "3", "--minbottom", "-2"], 0),
+    ("gamma_member.json", ["gamma", "member", "--point", "0.5,0"], 0),
+    ("gamma_member_boundary.json", ["gamma", "member", "--point", "0,-1", "--boundary"], 0),
+    ("gamma_solve_toeplitz.json", ["gamma", "solve-toeplitz", "--tuple", "tuple.json"], 0),
+])
+def test_matrix_and_gamma_stdout_matches_golden(stored, argv, code, tmp_path, monkeypatch,
+                                                 capsys):
+    _check_golden(stored, argv, code, tmp_path, monkeypatch, capsys)
+
+
+def _check_golden(stored, argv, code, tmp_path, monkeypatch, capsys):
     for source in ("phi.json", "phi3.json", "phi4.json", "tuple.json"):
         shutil.copy(GOLDEN / source, tmp_path / source)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code
-    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    expected = (GOLDEN / stored).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

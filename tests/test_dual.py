@@ -33,7 +33,7 @@ def test_dual_battery_residuals_vanish(d, top):
         residuals = dual_bh_residuals(DualToeplitz(phi), window)
         assert len(residuals) == d
         for res in residuals:
-            assert res.exact
+            assert res.to_json_dict()["exact"] is True
             assert res.is_zero(), (phi, res.nonzero_witnesses(1))
 
 

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from symtoep import (
@@ -163,12 +165,54 @@ def test_check_gamma_unitary_rejects_perturbation(seed):
     assert report.worst_failure >= 0.05
 
 
-def test_check_gamma_unitary_flags_degenerate_spectrum():
-    # S_1 = 2I, V = I: a genuine gamma-unitary pair, but every joint
-    # eigenvalue coincides, so no stable separation exists.
-    t = GammaTuple(2, (2.0 * np.eye(3, dtype=complex), np.eye(3, dtype=complex)))
-    with pytest.raises(DegeneracyError):
-        check_gamma_unitary(t)
+def _grouped_dimension(points, tol: float = 1e-9) -> int:
+    """Sum of m_k^2 over the multiplicities m_k of the distinct points, two
+    points being one when every coordinate agrees within tol."""
+    groups = []
+    for pt in points:
+        for group in groups:
+            if max(abs(a - b) for a, b in zip(group[0], pt)) <= tol:
+                group.append(pt)
+                break
+        else:
+            groups.append([pt])
+    return sum(len(group) ** 2 for group in groups)
+
+
+def test_check_gamma_unitary_passes_a_degenerate_spectrum():
+    # S_1 = 2I, V = I: every joint point is (2, 1), so the random
+    # combination has one eigenvalue, and every X solves the relations
+    eye = np.eye(3, dtype=complex)
+    t = GammaTuple(2, (2.0 * eye, eye))
+    report = check_gamma_unitary(t)
+    assert report.passed
+    assert np.allclose(report.joint_points, [(2, 1)] * 3, atol=1e-12)
+    assert len(s_toeplitz_solve(t)) == 9
+    # two joint points, one of them twice: 2^2 + 1^2 solutions
+    t = synth_gamma_unitary([np.diag([1, 1, -1]), np.diag([1j, 1j, 1])])
+    report = check_gamma_unitary(t)
+    assert report.passed
+    assert len(s_toeplitz_solve(t)) == _grouped_dimension(report.joint_points) == 5
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(2, 3), n=st.integers(2, 4), data=st.data())
+def test_gamma_unitary_with_repeated_joint_points_passes(d, n, data):
+    # n diagonal slots share fewer than n joint points, so one repeats; the
+    # phases are eighth roots of unity, so distinct points stay far apart.
+    # Within one point they differ: a repeated coordinate is a multiple root,
+    # which point_in_bgamma resolves only to about sqrt(eps)
+    labels = data.draw(st.lists(st.integers(0, n - 2), min_size=n, max_size=n))
+    phases = data.draw(st.lists(st.lists(st.integers(0, 7), min_size=d, max_size=d,
+                                         unique=True),
+                                min_size=n - 1, max_size=n - 1))
+    q = unitary_group.rvs(n, random_state=data.draw(st.integers(0, 2 ** 16)))
+    us = [q @ np.diag([np.exp(2j * np.pi * phases[k][j] / 8) for k in labels]) @ q.conj().T
+          for j in range(d)]
+    t = synth_gamma_unitary(us)
+    report = check_gamma_unitary(t)
+    assert report.passed, report.to_json_dict()
+    assert len(s_toeplitz_solve(t)) == _grouped_dimension(report.joint_points)
 
 
 def _normal_family(d: int, n: int, seed: int, repeat=None):
@@ -209,17 +253,21 @@ def test_joint_diagonalize_matches_the_schur_route(d, n):
         assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-10
 
 
-def test_joint_diagonalize_coincident_joint_points_raise():
+def test_joint_diagonalize_reads_coincident_joint_points():
     mats = _normal_family(3, 4, seed=5, repeat=(1, 3))
-    with pytest.raises(DegeneracyError, match="clustered"):
-        gamma._joint_diagonalize(mats, 1e-8, 42)
+    q = unitary_group.rvs(4, random_state=5)  # the family's basis
+    want = sorted(zip(*(np.diag(q.conj().T @ m @ q) for m in mats)), key=lambda pt: pt[0].real)
+    got = sorted(gamma._joint_diagonalize(mats, 1e-8, 42), key=lambda pt: pt[0].real)
+    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-10
+    assert _grouped_dimension(got) == 2 ** 2 + 1 + 1
     # repeat one joint point of a genuine gamma-unitary tuple
     q = unitary_group.rvs(4, random_state=6)
     phases = [np.exp(2j * np.pi * np.array([0.1, 0.3, 0.1, 0.7])),
               np.exp(2j * np.pi * np.array([0.2, 0.5, 0.2, 0.9]))]
-    us = [q @ np.diag(ph) @ q.conj().T for ph in phases]
-    with pytest.raises(DegeneracyError, match="clustered"):
-        check_gamma_unitary(synth_gamma_unitary(us))
+    t = synth_gamma_unitary([q @ np.diag(ph) @ q.conj().T for ph in phases])
+    report = check_gamma_unitary(t)
+    assert report.passed
+    assert len(s_toeplitz_solve(t)) == _grouped_dimension(report.joint_points) == 6
 
 
 def test_joint_diagonalize_rejects_a_family_without_a_common_basis():
@@ -249,7 +297,7 @@ def test_isometry_battery_rejects_inflated_tuple():
     t = GammaTuple(2, (2.5 * np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
     report = check_gamma_isometry(t)
     assert not report.passed
-    assert report.necessary_only
+    assert report.to_json_dict()["vonNeumannBattery"]["necessaryOnly"] is True
     failing = [item for item in report.battery_items if not item.ok]
     assert failing and max(item.margin for item in failing) >= 0.2
 
