@@ -9,9 +9,6 @@ finite windows.
 """
 
 from .compactness import (
-    AsymptoticReport,
-    DecayReport,
-    EtaReport,
     asymptotic_classify,
     commutator_decay,
     el_projection,
@@ -28,11 +25,7 @@ from .dual import (
 )
 from .errors import DegeneracyError, DomainError, MarginError, NotToeplitzError
 from .gamma import (
-    ExtensionReport,
-    GammaIsometryReport,
     GammaTuple,
-    GammaUnitaryReport,
-    MembershipVerdict,
     check_gamma_isometry,
     check_gamma_unitary,
     minimal_extension_verify,
@@ -48,10 +41,10 @@ from .operators import (
     FiniteRank,
     Hankel,
     Laurent,
-    LiftReport,
     MatrixWindow,
     OperatorSpec,
     OpSum,
+    Report,
     ShiftY,
     Toeplitz,
     assemble,
@@ -82,30 +75,23 @@ from .symbols import Symbol, combine, elementary, multiply, unit, zero_symbol
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticReport",
     "BlockReport",
     "ClassifyReport",
     "ComplexRational",
-    "DecayReport",
     "DegeneracyError",
     "DomainError",
     "DualToeplitz",
-    "EtaReport",
-    "ExtensionReport",
     "FiniteRank",
-    "GammaIsometryReport",
     "GammaTuple",
-    "GammaUnitaryReport",
     "Hankel",
     "Laurent",
-    "LiftReport",
     "MarginError",
     "MatrixWindow",
-    "MembershipVerdict",
     "NotToeplitzError",
     "OperatorSpec",
     "OpSum",
     "Partition",
+    "Report",
     "ShiftY",
     "SignedPartition",
     "Symbol",

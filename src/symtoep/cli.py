@@ -37,6 +37,7 @@ from .operators import (
     Laurent,
     MatrixWindow,
     OperatorSpec,
+    Report,
     ShiftY,
     Toeplitz,
     assemble,
@@ -144,6 +145,15 @@ def _report(payload: dict, out: str | None) -> int:
     return 0 if payload["verdict"] else 1
 
 
+def _config(args, **computed) -> dict:
+    """A report's config: the command and action, every parsed option but
+    --out and --format, and the values the command computed from them."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("func", "out", "format", "action")}
+    config["command"] = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+    return {**config, **computed}
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -204,16 +214,7 @@ def _cmd_matrix(args) -> int:
     if args.format == "csv":
         _emit(matrix.to_csv_text(), args.out)
     else:
-        config = {
-            "command": "matrix",
-            "kind": args.kind,
-            "d": args.d,
-            "maxtop": args.maxtop,
-            "minbottom": args.minbottom,
-            "symbol": args.symbol,
-            "j": args.j,
-        }
-        _emit(_report_text({"config": config, "matrix": matrix.to_json_dict()}),
+        _emit(_report_text({"config": _config(args), "matrix": matrix.to_json_dict()}),
               args.out)
     return 0
 
@@ -222,71 +223,50 @@ def _cmd_matrix(args) -> int:
 # verify command
 
 
-def _suite_brown_halmos(args, phi, op, window):
+def _suite_brown_halmos(args, phi, op, window) -> Report:
     # the window's side picks the Toeplitz or the dual relations
     residuals = bh_residuals(op, window)
-    witnesses = [w for res in residuals for w in _witness_dicts(res)]
-    norms = [res.max_abs() for res in residuals]
-    return all(res.is_zero() for res in residuals), witnesses, norms, {
-        "residual_count": len(residuals)
-    }
+    return Report(all(res.is_zero() for res in residuals),
+                  {"residual_count": len(residuals)},
+                  [w for res in residuals for w in _witness_dicts(res)],
+                  [res.max_abs() for res in residuals])
 
 
-def _suite_analytic(args, phi, op, window):
-    report = classify_analytic(phi, window)
-    witnesses = [{"partner": check.partner, **witness_dict(*check.witness)}
-                 for check in report.checks if check.witness is not None]
-    return report.consistent, witnesses, [], report.to_json_dict()
-
-
-def _suite_defect(args, phi, op, window):
+def _suite_defect(args, phi, op, window) -> Report:
     psi = phi if args.symbol2 is None else _read_symbol(args.symbol2, phi.d)
     defect = product_defect(phi, psi, window)
-    return defect.is_zero(), _witness_dicts(defect), [defect.max_abs()], {}
+    return Report(defect.is_zero(), {}, _witness_dicts(defect), [defect.max_abs()])
 
 
-def _suite_block(args, phi, op, window):
-    report = block_decomposition_check(phi, window)
-    witnesses = [{"block": name, "row": list(q), "col": list(p)}
-                 for name, q, p in report.witnesses]
-    return report.passed, witnesses, [], report.to_json_dict()
-
-
-def _suite_lift(args, phi, op, window):
-    tops = sorted({max(phi.d, args.maxtop // 4),
-                   max(phi.d, args.maxtop // 2), args.maxtop})
+def _suite_lift(args, phi, op, window) -> Report:
+    top = window.max_top
+    tops = sorted({max(phi.d, top // 4), max(phi.d, top // 2), top})
     # the window for top t is [max(-t, bottom), t], so none reaches below the
     # verify window, which is the one at --maxtop unless its bottom is below -maxtop
     bottom = window.min_bottom
-    windows = [window if (t, max(-t, bottom)) == (window.max_top, bottom)
+    windows = [window if (t, max(-t, bottom)) == (top, bottom)
                else enumerate_window(phi.d, t, max(-t, bottom)) for t in tops]
-    report = lift_verify(phi, windows, seed=args.seed,
-                         grid_size=args.grid, tol=args.tol)
-    norms = [row.toeplitz_norm for row in report.rows]
-    return report.passed, [], norms, report.to_json_dict()
-
-
-def _suite_decay(args, phi, op, window):
-    report = commutator_decay(op, args.j, 4, window, seed=args.seed)
-    return report.final_exact_zero, [], list(report.norms), report.to_json_dict()
-
-
-def _suite_eta(args, phi, op, window):
-    report = eta(op, args.j, window, seed=args.seed)
-    return report.is_zero(), [], [report.block_norm], report.to_json_dict()
+    return lift_verify(phi, windows, seed=args.seed, grid_size=args.grid, tol=args.tol)
 
 
 # suite: runner, window kind, the operator --symbol builds (None: the suite
-# reads only the symbol), and the default --maxtop from the height h and d
+# reads only the symbol), and the default --maxtop from the height h and d.
+# A runner takes (args, phi, op, window) and returns the check's Report; it
+# looks its library function up when it runs, so a function patched on this
+# module after import is the one called.
 _SUITES = {
     "brown-halmos": (_suite_brown_halmos, "analytic", Toeplitz, lambda h, d: h + 4),
-    "analytic": (_suite_analytic, "analytic", None, lambda h, d: h + d + 2),
+    "analytic": (lambda args, phi, op, w: classify_analytic(phi, w),
+                 "analytic", None, lambda h, d: h + d + 2),
     "defect": (_suite_defect, "analytic", None, lambda h, d: 2 * h + 2),
-    "block": (_suite_block, "full", None, lambda h, d: h + 2),
+    "block": (lambda args, phi, op, w: block_decomposition_check(phi, w),
+              "full", None, lambda h, d: h + 2),
     "dual-brown-halmos": (_suite_brown_halmos, "dual", DualToeplitz, lambda h, d: h + 4),
     "lift": (_suite_lift, "full", None, lambda h, d: h + 2),
-    "decay": (_suite_decay, "analytic", Toeplitz, lambda h, d: h + d + 8),
-    "eta": (_suite_eta, "analytic", Toeplitz, lambda h, d: h + d + 4),
+    "decay": (lambda args, phi, op, w: commutator_decay(op, args.j, 4, w, seed=args.seed),
+              "analytic", Toeplitz, lambda h, d: h + d + 8),
+    "eta": (lambda args, phi, op, w: eta(op, args.j, w, seed=args.seed),
+            "analytic", Toeplitz, lambda h, d: h + d + 4),
 }
 
 
@@ -294,53 +274,35 @@ def _cmd_verify(args) -> int:
     runner, window_kind, op_class, default_top = _SUITES[args.suite]
     _check_maxtop(args.maxtop)
     _check_grid(args.grid)
-    if args.symbol is None and args.operator is None:
-        raise _InputError("verify requires --symbol or --operator")
-    phi = op = None
     if args.symbol is not None:
         phi = _read_symbol(args.symbol, args.d)
         d = phi.d
         op = None if op_class is None else op_class(phi)
-    if args.operator is not None:
+    else:
         if op_class is None:
             raise _InputError(f"suite {args.suite} requires --symbol")
         if args.d is None:
             raise _InputError("--operator requires --d")
-        d = args.d
+        d, phi = args.d, None
         op = _parse_operator(args.operator, d)
-        phi = None
 
     height = 1 if phi is None else max(phi.height(), 1)
     top = args.maxtop if args.maxtop is not None else default_top(height, d)
-    args.maxtop = top
     bottom = -top if args.minbottom is None else args.minbottom
     window = _window(window_kind, d, top, bottom)
     if not len(window):
         raise MarginError(
             f"the {window_kind} window for d={d} is empty; widen --maxtop/--minbottom")
 
-    verdict, witnesses, norms, details = runner(args, phi, op, window)
-    config = {
-        "command": "verify",
-        "suite": args.suite,
-        "d": d,
-        "maxtop": top,
-        "minbottom": bottom if window_kind != "analytic" else None,
-        "symbol": args.symbol,
-        "symbol2": args.symbol2,
-        "operator": args.operator,
-        "j": args.j,
-        "tol": args.tol,
-        "seed": args.seed,
-        "grid": args.grid,
-    }
+    report = runner(args, phi, op, window)
     return _report({
         "check": args.suite,
-        "config": config,
-        "verdict": verdict,
-        "witnesses": witnesses,
-        "norms": norms,
-        "details": details,
+        "config": _config(args, d=d, maxtop=top,
+                          minbottom=None if window_kind == "analytic" else bottom),
+        "verdict": report.passed,
+        "witnesses": report.witnesses,
+        "norms": report.norms,
+        "details": report.details,
     }, args.out)
 
 
@@ -357,39 +319,31 @@ def _cmd_gamma_member(args) -> int:
     boundary = point_in_bgamma(point, tol=args.tol)
     return _report({
         "check": "gamma-member",
-        "config": {"command": "gamma member", "point": args.point,
-                   "d": len(point), "boundary": args.boundary,
-                   "tol": args.tol},
-        "verdict": boundary.in_set if args.boundary else closure.in_set,
-        "closure": closure.to_json_dict(),
-        "boundary": boundary.to_json_dict(),
+        "config": _config(args, d=len(point)),
+        "verdict": (boundary if args.boundary else closure).passed,
+        "closure": closure.details,
+        "boundary": boundary.details,
     }, args.out)
 
 
-def _tuple_check(args, report, **config) -> int:
-    """Emit a tuple check's report; config holds the options the check reads
-    besides --tuple and --tol."""
-    details = report.to_json_dict()
+def _tuple_check(args, report: Report) -> int:
     return _report({
-        "check": details["check"],
-        "config": {"command": f"gamma {args.action}", "tuple": args.tuple,
-                   "tol": args.tol, **config},
+        "check": report.details["check"],
+        "config": _config(args),
         "verdict": report.passed,
-        "details": details,
+        "details": report.details,
     }, args.out)
 
 
 def _cmd_gamma_check_unitary(args) -> int:
     t = _read_tuple(args.tuple)
-    return _tuple_check(args, check_gamma_unitary(t, tol=args.tol, seed=args.seed),
-                        seed=args.seed)
+    return _tuple_check(args, check_gamma_unitary(t, tol=args.tol, seed=args.seed))
 
 
 def _cmd_gamma_check_isometry(args) -> int:
     _check_grid(args.grid)
     t = _read_tuple(args.tuple)
-    return _tuple_check(args, check_gamma_isometry(t, tol=args.tol, grid_size=args.grid),
-                        grid=args.grid)
+    return _tuple_check(args, check_gamma_isometry(t, tol=args.tol, grid_size=args.grid))
 
 
 def _cmd_gamma_solve(args) -> int:
@@ -400,8 +354,7 @@ def _cmd_gamma_solve(args) -> int:
     shapes = [list(b.shape) for b in basis]
     return _report({
         "check": "s-toeplitz-solve",
-        "config": {"command": "gamma solve-toeplitz", "tuple": args.tuple,
-                   "tol": args.tol},
+        "config": _config(args),
         "verdict": True,
         "dimension": len(basis),
         "basis_shapes": shapes,
@@ -452,11 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run one verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    verify.add_argument("--symbol", default=None)
+    subject = verify.add_mutually_exclusive_group(required=True)
+    subject.add_argument("--symbol", default=None)
+    subject.add_argument("--operator", default=None,
+                         help="named operator, e.g. shiftY1")
     verify.add_argument("--symbol2", default=None,
                         help="second factor for --suite defect")
-    verify.add_argument("--operator", default=None,
-                        help="named operator, e.g. shiftY1")
     verify.add_argument("--d", type=int, default=None)
     verify.add_argument("--maxtop", type=int, default=None)
     verify.add_argument("--minbottom", type=int, default=None)

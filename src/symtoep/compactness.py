@@ -7,8 +7,6 @@ Toeplitz-type obstructions keep its norm bounded away from zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, MarginError, require_budget
@@ -18,6 +16,7 @@ from .operators import (
     MatrixWindow,
     OperatorSpec,
     OpSum,
+    Report,
     Toeplitz,
     _distinguished,
     _require_dense,
@@ -25,6 +24,7 @@ from .operators import (
     bh_residual_matrix,
     bh_residuals,
     norm_estimate,
+    pass_fail,
 )
 from .partitions import Partition, Window, shift
 from .scalars import ONE
@@ -37,34 +37,8 @@ from .symbols import Symbol
 MAX_ETA_ENTRIES = 2 ** 22
 
 
-@dataclass
-class EtaReport:
-    j: int
-    blocks: dict  # (a, b) -> MatrixWindow, 1-based block coordinates
-    block_norm: float
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.blocks.values())
-
-    def stacked_dense(self) -> np.ndarray:
-        d = max(a for a, _ in self.blocks)
-        n = len(next(iter(self.blocks.values())).rows)
-        out = np.zeros((d * n, d * n), dtype=complex)
-        for (a, b), m in self.blocks.items():
-            out[(a - 1) * n:a * n, (b - 1) * n:b * n] = m.to_dense()
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "eta",
-            "j": self.j,
-            "blockNorm": self.block_norm,
-            "exactZero": self.is_zero(),
-        }
-
-
-def eta(T: OperatorSpec, j: int, window: Window, seed: int = 42) -> EtaReport:
-    """Conjugated block matrix (Z_a^{*j} T Z_b^j)_{a,b} on the window.
+def eta_blocks(T: OperatorSpec, j: int, window: Window) -> dict:
+    """Blocks (Z_a^{*j} T Z_b^j)_{a,b} on the window, keyed by 1-based (a, b).
 
     Z_a is the a-th basis shift for a < d and T_p for a = d, so block
     (a,b) at (q,p) is the exact entry of T at (q + j f_a, p + j f_b): T
@@ -81,11 +55,21 @@ def eta(T: OperatorSpec, j: int, window: Window, seed: int = 42) -> EtaReport:
                    f"stacking {d}x{d} eta blocks of {len(window)} rows needs {entries} "
                    "dense entries", "use a smaller window")
     moved = {a: window.shifted(j, a) for a in range(1, d + 1)}
-    blocks = {(a, b): MatrixWindow(window, window, assemble(T, moved[a], moved[b]).entries)
-              for a in moved for b in moved}
-    report = EtaReport(j, blocks, 0.0)
-    report.block_norm = norm_estimate(report.stacked_dense(), 100, seed)
-    return report
+    return {(a, b): MatrixWindow(window, window, assemble(T, moved[a], moved[b]).entries)
+            for a in moved for b in moved}
+
+
+def eta(T: OperatorSpec, j: int, window: Window, seed: int = 42) -> Report:
+    """Norm of the stacked eta_blocks matrix; passes when every block is exactly zero."""
+    blocks = eta_blocks(T, j, window)
+    n = len(window)
+    stacked = np.zeros((T.d * n, T.d * n), dtype=complex)
+    for (a, b), m in blocks.items():
+        stacked[(a - 1) * n:a * n, (b - 1) * n:b * n] = m.to_dense()
+    norm = norm_estimate(stacked, 100, seed)
+    zero = all(m.is_zero() for m in blocks.values())
+    return Report(zero, {"check": "eta", "j": j, "blockNorm": norm, "exactZero": zero},
+                  [], [norm])
 
 
 def el_projection(d: int, l: int) -> list[Partition]:
@@ -128,36 +112,16 @@ def finite_rank_truncation(T: OperatorSpec, l: int, window: Window) -> MatrixWin
                                          if not inside[i] and not inside[j]})
 
 
-@dataclass
-class DecayReport:
-    partner_index: int
-    norms: list
-    conjugated: list  # MatrixWindow per exponent n = 0..n_max
-    bh_residual: MatrixWindow
-
-    @property
-    def final_exact_zero(self) -> bool:
-        return self.conjugated[-1].is_zero()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "commutator-decay",
-            "partner": f"s_{self.partner_index}",
-            "norms": self.norms,
-            "finalExactZero": self.final_exact_zero,
-            "bhResidualZero": self.bh_residual.is_zero(),
-        }
-
-
 def commutator_decay(T: OperatorSpec, i: int, n_max: int, window: Window,
-                     seed: int = 42) -> DecayReport:
+                     seed: int = 42) -> Report:
     """Norms of T_p^{*n} [T, T_{s_i}] T_p^n on the window for n = 0..n_max.
 
     The conjugated entry at (q, p) is the exact commutator entry at
     (q + n, p + n), read off the commutator assembled on the shifted
-    window; the report also carries the exact i-th Brown-Halmos residual.
-    A window whose dense matrix is over MAX_DENSE_ENTRIES raises
-    MarginError before any assembly.
+    window.  It passes when step n_max is exactly zero; its details also
+    say whether the exact i-th Brown-Halmos residual is zero.  A window
+    whose dense matrix is over MAX_DENSE_ENTRIES raises MarginError
+    before any assembly.
     """
     d = T.d
     if not 1 <= i <= d - 1:
@@ -171,35 +135,18 @@ def commutator_decay(T: OperatorSpec, i: int, n_max: int, window: Window,
     mats = [MatrixWindow(window, window, assemble(commutator, w, w).entries)
             for w in (window.shifted(n) for n in range(n_max + 1))]
     norms = [norm_estimate(m, 100, seed) for m in mats]
-    return DecayReport(i, norms, mats, bh_residual_matrix(T, i, window))
-
-
-@dataclass
-class AsymptoticReport:
-    decay_ok: bool
-    toeplitz_part_ok: bool
-    residual_eta_ok: bool
-    decay_norms: dict  # i -> list over n
-    eta_norms: list  # over j = 1..j_max
-
-    @property
-    def passed(self) -> bool:
-        return self.decay_ok and self.toeplitz_part_ok and self.residual_eta_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "asymptotic-toeplitz",
-            "verdict": "pass" if self.passed else "fail",
-            "commutatorDecayOk": self.decay_ok,
-            "toeplitzPartOk": self.toeplitz_part_ok,
-            "residualEtaOk": self.residual_eta_ok,
-            "decayNorms": {str(k): v for k, v in self.decay_norms.items()},
-            "etaNorms": self.eta_norms,
-        }
+    final_zero = mats[-1].is_zero()
+    return Report(final_zero, {
+        "check": "commutator-decay",
+        "partner": f"s_{i}",
+        "norms": norms,
+        "finalExactZero": final_zero,
+        "bhResidualZero": bh_residual_matrix(T, i, window).is_zero(),
+    }, [], norms)
 
 
 def asymptotic_classify(phi: Symbol, K, j_max: int, window: Window,
-                        seed: int = 42) -> AsymptoticReport:
+                        seed: int = 42) -> Report:
     """Three-part asymptotic-Toeplitz verdict for T = T_phi + K.
 
     (1) every conjugated commutator window is exactly zero at n = j_max,
@@ -213,10 +160,17 @@ def asymptotic_classify(phi: Symbol, K, j_max: int, window: Window,
     T = Toeplitz(phi) if K is None else OpSum([Toeplitz(phi), K])
 
     decays = {i: commutator_decay(T, i, j_max, window, seed) for i in range(1, d)}
-    decay_ok = all(rep.final_exact_zero for rep in decays.values())
+    decay_ok = all(rep.passed for rep in decays.values())
     toeplitz_part_ok = all(m.is_zero() for m in bh_residuals(Toeplitz(phi), window))
     etas = [] if K is None else [eta(K, j, window, seed) for j in range(1, j_max + 1)]
-    residual_eta_ok = not etas or etas[-1].is_zero()
-    return AsymptoticReport(decay_ok, toeplitz_part_ok, residual_eta_ok,
-                            {i: rep.norms for i, rep in decays.items()},
-                            [rep.block_norm for rep in etas] or [0.0] * j_max)
+    residual_eta_ok = not etas or etas[-1].passed
+    passed = decay_ok and toeplitz_part_ok and residual_eta_ok
+    return Report(passed, {
+        "check": "asymptotic-toeplitz",
+        "verdict": pass_fail(passed),
+        "commutatorDecayOk": decay_ok,
+        "toeplitzPartOk": toeplitz_part_ok,
+        "residualEtaOk": residual_eta_ok,
+        "decayNorms": {str(i): rep.norms for i, rep in decays.items()},
+        "etaNorms": [rep.norms[0] for rep in etas] or [0.0] * j_max,
+    })

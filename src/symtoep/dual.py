@@ -8,8 +8,6 @@ symbols.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, MarginError
 from .operators import (
     DualToeplitz,
@@ -17,10 +15,12 @@ from .operators import (
     Laurent,
     MatrixWindow,
     OperatorSpec,
+    Report,
     Toeplitz,
     assemble,
     bh_residual_column,
     bh_residuals,
+    pass_fail,
 )
 from .partitions import Partition, Window
 from .symbols import Symbol
@@ -45,25 +45,16 @@ def dual_bh_residuals(T: OperatorSpec, window: Window) -> list[MatrixWindow]:
     return bh_residuals(T, window)
 
 
-@dataclass
-class BlockReport:
-    block_ok: dict  # name -> bool
-    witnesses: list
+class BlockReport(Report):
+    """The Report of block_decomposition_check.
+
+    bench/workloads.py reads ``block_ok``; it goes when the benchmark
+    harness reads the Report shape (ROADMAP item 2).
+    """
 
     @property
-    def passed(self) -> bool:
-        return all(self.block_ok.values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "block-decomposition",
-            "verdict": "pass" if self.passed else "fail",
-            "blocks": dict(self.block_ok),
-            "witnesses": [
-                {"row": list(q), "col": list(p), "block": name}
-                for name, q, p in self.witnesses
-            ],
-        }
+    def block_ok(self) -> dict:
+        return self.details["blocks"]
 
 
 # block of an index pair, keyed by (row analytic, column analytic)
@@ -109,8 +100,17 @@ def block_decomposition_check(phi: Symbol, full_window: Window) -> BlockReport:
     mismatches = sorted((k for k in got.keys() | expected.keys()
                          if got.get(k) != expected.get(k)),
                         key=lambda k: (pos[k[0]], pos[k[1]]))
-    block_ok = dict.fromkeys(_BLOCK_NAMES.values(), True)
-    witnesses = [(_BLOCK_NAMES[q.is_analytic, p.is_analytic], q, p) for q, p in mismatches]
-    for name, _, _ in witnesses:
-        block_ok[name] = False
-    return BlockReport(block_ok, witnesses[:10])
+    blocks = dict.fromkeys(_BLOCK_NAMES.values(), True)
+    witnesses = []
+    for q, p in mismatches:
+        name = _BLOCK_NAMES[q.is_analytic, p.is_analytic]
+        blocks[name] = False
+        if len(witnesses) < 10:
+            witnesses.append({"row": list(q), "col": list(p), "block": name})
+    passed = all(blocks.values())
+    return BlockReport(passed, {
+        "check": "block-decomposition",
+        "verdict": pass_fail(passed),
+        "blocks": blocks,
+        "witnesses": witnesses,
+    }, witnesses)

@@ -11,14 +11,14 @@ from __future__ import annotations
 import contextlib
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from . import symbols
 from .errors import DegeneracyError, DomainError, require_budget
-from .operators import Commutator, Laurent, Toeplitz, assemble
+from .operators import Commutator, Laurent, Report, Toeplitz, assemble, pass_fail
 from .partitions import Window, regrade, shift
 from .scalars import ONE
 from .symbols import Symbol, elementary, torus_max
@@ -50,22 +50,6 @@ def _double_precision_range():
 # -- pointwise membership ----------------------------------------------------
 
 
-@dataclass
-class MembershipVerdict:
-    in_set: bool
-    margin: float
-    roots: list
-    tol: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "inSet": self.in_set,
-            "margin": self.margin,
-            "roots": [[z.real, z.imag] for z in self.roots],
-            "tol": self.tol,
-        }
-
-
 def _roots(point) -> np.ndarray:
     """Roots of z^d - s_1 z^{d-1} + s_2 z^{d-2} - ... + (-1)^d s_d."""
     point = tuple(complex(x) for x in point)
@@ -77,7 +61,15 @@ def _roots(point) -> np.ndarray:
     return np.roots(coeffs)
 
 
-def point_in_gamma(point, tol: float = 1e-9) -> MembershipVerdict:
+def _membership(margin: float, roots, tol: float) -> Report:
+    """A membership verdict: the point is in the set when margin <= tol."""
+    inside = margin <= tol
+    roots = [complex(z) for z in roots]
+    return Report(inside, {"inSet": inside, "margin": margin,
+                           "roots": [[z.real, z.imag] for z in roots], "tol": tol})
+
+
+def point_in_gamma(point, tol: float = 1e-9) -> Report:
     """Is (s_1, ..., s_d) the symmetrization of a closed-polydisk point?
 
     Roots of the associated monic polynomial are computed as companion
@@ -85,15 +77,13 @@ def point_in_gamma(point, tol: float = 1e-9) -> MembershipVerdict:
     within tol, and margin = max |root| - 1.
     """
     roots = _roots(point)
-    margin = float(np.max(np.abs(roots)) - 1.0)
-    return MembershipVerdict(margin <= tol, margin, [complex(z) for z in roots], tol)
+    return _membership(float(np.max(np.abs(roots)) - 1.0), roots, tol)
 
 
-def point_in_bgamma(point, tol: float = 1e-9) -> MembershipVerdict:
+def point_in_bgamma(point, tol: float = 1e-9) -> Report:
     """Distinguished-boundary membership: every root on the unit circle."""
     roots = _roots(point)
-    margin = float(np.max(np.abs(np.abs(roots) - 1.0)))
-    return MembershipVerdict(margin <= tol, margin, [complex(z) for z in roots], tol)
+    return _membership(float(np.max(np.abs(np.abs(roots) - 1.0))), roots, tol)
 
 
 def symmetrize_point(zs) -> tuple:
@@ -196,38 +186,16 @@ def synth_gamma_unitary(unitaries, comm_tol: float = 1e-8) -> GammaTuple:
     return GammaTuple(d, tuple(mats))
 
 
-@dataclass
-class CheckItem:
-    name: str
-    margin: float
-    ok: bool
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "margin": self.margin, "ok": self.ok}
+def _item(name: str, margin: float, ok: bool) -> dict:
+    return {"name": name, "margin": margin, "ok": ok}
 
 
-@dataclass
-class GammaUnitaryReport:
-    items: list
-    joint_points: list
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(it.ok for it in self.items)
-
-    @property
-    def worst_failure(self) -> float:
-        return max((it.margin for it in self.items if not it.ok), default=0.0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "gamma-unitary",
-            "verdict": "pass" if self.passed else "fail",
-            "items": [it.to_json_dict() for it in self.items],
-            "jointPoints": [[[z.real, z.imag] for z in pt] for pt in self.joint_points],
-            "tol": self.tol,
-        }
+def _items_report(check: str, checked: list, **details) -> Report:
+    """The Report of a check made of the checked items: it passes when every
+    item is ok, and the failing items are its witnesses."""
+    failing = [it for it in checked if not it["ok"]]
+    return Report(not failing, {"check": check, "verdict": pass_fail(not failing), **details},
+                  failing)
 
 
 def _joint_diagonalize(mats, tol: float, seed: int):
@@ -263,7 +231,7 @@ def _joint_diagonalize(mats, tol: float, seed: int):
 
 
 @_double_precision_range()
-def check_gamma_unitary(t: GammaTuple, tol: float = 1e-8, seed: int = 42) -> GammaUnitaryReport:
+def check_gamma_unitary(t: GammaTuple, tol: float = 1e-8, seed: int = 42) -> Report:
     """Verify the algebraic and spectral characterization of a gamma-unitary tuple.
 
     Checks: pairwise commutation, normality of every matrix, unitarity of
@@ -275,20 +243,20 @@ def check_gamma_unitary(t: GammaTuple, tol: float = 1e-8, seed: int = 42) -> Gam
     u = mats[-1]
     eye = np.eye(t.size)
     comm = t.commutation_defect()
-    items = [CheckItem("pairwise-commutation", comm, comm <= tol)]
+    items = [_item("pairwise-commutation", comm, comm <= tol)]
     worst_normal = 0.0
     for k, m in enumerate(mats):
         label = f"R_{k + 1}" if k < d - 1 else "U"
         defect = _opnorm(m @ m.conj().T - m.conj().T @ m)
         worst_normal = max(worst_normal, defect)
-        items.append(CheckItem(f"normal-{label}", defect, defect <= tol))
+        items.append(_item(f"normal-{label}", defect, defect <= tol))
     u_defect = max(_opnorm(u.conj().T @ u - eye), _opnorm(u @ u.conj().T - eye))
-    items.append(CheckItem("unitary-U", u_defect, u_defect <= tol))
+    items.append(_item("unitary-U", u_defect, u_defect <= tol))
     for i in range(1, d):
         lhs = mats[d - i - 1]
         rhs = mats[i - 1].conj().T @ u
         defect = _opnorm(lhs - rhs)
-        items.append(CheckItem(f"relation-R{d - i}=R{i}*U", defect, defect <= tol))
+        items.append(_item(f"relation-R{d - i}=R{i}*U", defect, defect <= tol))
     # a joint spectrum only exists for a commuting normal family; otherwise
     # the spectral item fails with the algebraic defect as its margin
     joint = []
@@ -296,35 +264,12 @@ def check_gamma_unitary(t: GammaTuple, tol: float = 1e-8, seed: int = 42) -> Gam
         joint = _joint_diagonalize(list(mats), tol, seed)
         worst = 0.0
         for pt in joint:
-            worst = max(worst, point_in_bgamma(pt, tol).margin)
-        items.append(CheckItem("joint-spectrum-in-bGamma", worst, worst <= tol))
+            worst = max(worst, point_in_bgamma(pt, tol).details["margin"])
+        items.append(_item("joint-spectrum-in-bGamma", worst, worst <= tol))
     else:
-        items.append(CheckItem("joint-spectrum-in-bGamma",
-                               max(comm, worst_normal), False))
-    return GammaUnitaryReport(items, joint, tol)
-
-
-@dataclass
-class GammaIsometryReport:
-    items: list
-    battery_items: list
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(it.ok for it in self.items) and all(it.ok for it in self.battery_items)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "gamma-isometry",
-            "verdict": "pass" if self.passed else "fail",
-            "items": [it.to_json_dict() for it in self.items],
-            "vonNeumannBattery": {
-                "necessaryOnly": True,
-                "items": [it.to_json_dict() for it in self.battery_items],
-            },
-            "tol": self.tol,
-        }
+        items.append(_item("joint-spectrum-in-bGamma", max(comm, worst_normal), False))
+    return _items_report("gamma-unitary", items, items=items,
+                         jointPoints=[[[z.real, z.imag] for z in pt] for pt in joint], tol=tol)
 
 
 def _elementary_monomial(expo) -> list:
@@ -344,7 +289,7 @@ def _elementary_monomial(expo) -> list:
 
 @_double_precision_range()
 def check_gamma_isometry(t: GammaTuple, tol: float = 1e-8,
-                         grid_size: int = 16) -> GammaIsometryReport:
+                         grid_size: int = 16) -> Report:
     """Necessary checks for a gamma-isometry tuple (S_1, ..., S_{d-1}, V).
 
     Algebraic part: V is an isometry, the family commutes, and
@@ -367,14 +312,14 @@ def check_gamma_isometry(t: GammaTuple, tol: float = 1e-8,
     eye = np.eye(t.size)
     items = []
     iso_defect = _opnorm(v.conj().T @ v - eye)
-    items.append(CheckItem("isometry-V", iso_defect, iso_defect <= tol))
+    items.append(_item("isometry-V", iso_defect, iso_defect <= tol))
     comm = t.commutation_defect()
-    items.append(CheckItem("pairwise-commutation", comm, comm <= tol))
+    items.append(_item("pairwise-commutation", comm, comm <= tol))
     for i in range(1, d):
         lhs = mats[d - i - 1]
         rhs = mats[i - 1].conj().T @ v
         defect = _opnorm(lhs - rhs)
-        items.append(CheckItem(f"relation-S{d - i}=S{i}*V", defect, defect <= tol))
+        items.append(_item(f"relation-S{d - i}=S{i}*V", defect, defect <= tol))
 
     gammas = [(d - i) / d for i in range(1, d)]
     scaled = [g * m for g, m in zip(gammas, mats[:-1])]
@@ -389,9 +334,9 @@ def check_gamma_isometry(t: GammaTuple, tol: float = 1e-8,
         lhs_norm = _opnorm(op)
         grid_max = torus_max(_elementary_monomial(expo), d - 1, grid_size)
         name = "f=" + "*".join(f"x{k + 1}^{a}" for k, a in enumerate(expo) if a)
-        battery.append(CheckItem(name, lhs_norm - grid_max,
-                                 lhs_norm <= grid_max + tol))
-    return GammaIsometryReport(items, battery, tol)
+        battery.append(_item(name, lhs_norm - grid_max, lhs_norm <= grid_max + tol))
+    return _items_report("gamma-isometry", items + battery, items=items,
+                         vonNeumannBattery={"necessaryOnly": True, "items": battery}, tol=tol)
 
 
 # -- S-Toeplitz solver ----------------------------------------------------------
@@ -432,27 +377,13 @@ def s_toeplitz_solve(t: GammaTuple, tol: float = 1e-9) -> list:
 # -- minimal unitary extension, concrete window model ----------------------------
 
 
-@dataclass
-class ExtensionReport:
-    checks: list = field(default_factory=list)  # (name, ok, witness)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "minimal-extension",
-            "verdict": "pass" if self.passed else "fail",
-            "items": [
-                {"name": name, "ok": ok,
-                 "witness": None if wit is None else str(wit)}
-                for name, ok, wit in self.checks
-            ],
-        }
+def _witnessed(name: str, witness) -> dict:
+    """The item of an exact check that holds when it found no witness."""
+    return {"name": name, "ok": witness is None,
+            "witness": None if witness is None else str(witness)}
 
 
-def minimal_extension_verify(phi: Symbol, window: Window) -> ExtensionReport:
+def minimal_extension_verify(phi: Symbol, window: Window) -> Report:
     """Exact checks that the Laurent model extends the Toeplitz model minimally.
 
     (1) the coordinate Laurent multipliers commute pairwise (exact column
@@ -465,14 +396,14 @@ def minimal_extension_verify(phi: Symbol, window: Window) -> ExtensionReport:
         raise DomainError("window dimension mismatch")
     if not len(window):
         raise DomainError("empty window")
-    checks = []
+    items = []
 
     ls = [Laurent(elementary(d, i)) for i in range(1, d + 1)]
     commutators = [(a, b, Commutator(ls[a], ls[b]))
                    for a, b in itertools.combinations(range(d), 2)]
     witness = next(((f"s_{a + 1}", f"s_{b + 1}", tuple(p)) for a, b, c in commutators
                     for p in window if c.column(p)), None)
-    checks.append(("laurent-coordinates-commute", witness is None, witness))
+    items.append(_witnessed("laurent-coordinates-commute", witness))
 
     wa = window.analytic_part()
     got = assemble(Laurent(phi), wa, wa).entries
@@ -483,7 +414,7 @@ def minimal_extension_verify(phi: Symbol, window: Window) -> ExtensionReport:
     if bad:
         j, i = min(bad)
         witness = (tuple(wa.members[i]), tuple(wa.members[j]))
-    checks.append(("analytic-compression-is-toeplitz", witness is None, witness))
+    items.append(_witnessed("analytic-compression-is-toeplitz", witness))
 
     ld = Laurent(elementary(d, d))
     witness = None
@@ -497,5 +428,5 @@ def minimal_extension_verify(phi: Symbol, window: Window) -> ExtensionReport:
         if not base.is_analytic or shift(base, r) != p or vec != {high: ONE}:
             witness = tuple(p)
             break
-    checks.append(("diagonal-shift-reachability", witness is None, witness))
-    return ExtensionReport(checks)
+    items.append(_witnessed("diagonal-shift-reachability", witness))
+    return _items_report("minimal-extension", items, items=items)

@@ -466,6 +466,26 @@ def witness_dict(q, p, v: ComplexRational) -> dict:
     return {"row": list(q), "col": list(p), "re": re, "im": im}
 
 
+@dataclass
+class Report:
+    """The verdict of one library check.
+
+    ``details`` is the JSON object the command line prints for the check,
+    and ``witnesses`` and ``norms`` are the lists ``verify`` prints beside
+    it; a check with nothing to put there leaves them empty.
+    """
+
+    passed: bool
+    details: dict
+    witnesses: list = field(default_factory=list)
+    norms: list = field(default_factory=list)
+
+
+def pass_fail(passed: bool) -> str:
+    """The ``verdict`` string of a check's details."""
+    return "pass" if passed else "fail"
+
+
 def assemble(op: OperatorSpec, rows: Window, cols: Window) -> MatrixWindow:
     """Exact window matrix of op, assembled column by column."""
     if rows.d != op.d or cols.d != op.d:
@@ -741,34 +761,24 @@ def product_defect(phi: Symbol, psi: Symbol, window: Window) -> MatrixWindow:
 # -- analyticity classification ----------------------------------------------
 
 
-@dataclass
-class CommutatorCheck:
-    partner: str
-    exact_zero: bool
-    witness: tuple | None
+class ClassifyReport(Report):
+    """The Report of classify_analytic.
 
-    def to_json_dict(self) -> dict:
-        wit = None if self.witness is None else witness_dict(*self.witness)
-        return {"partner": self.partner, "exactZero": self.exact_zero, "witness": wit}
+    bench/workloads.py reads ``consistent``, ``commutes_with_all`` and
+    ``to_json_dict()``; these names go when the benchmark harness reads the
+    Report shape (ROADMAP item 2).
+    """
 
-
-@dataclass
-class ClassifyReport:
-    symbol_analytic: bool
-    checks: list
-    consistent: bool
+    @property
+    def consistent(self) -> bool:
+        return self.passed
 
     @property
     def commutes_with_all(self) -> bool:
-        return all(c.exact_zero for c in self.checks)
+        return all(c["exactZero"] for c in self.details["commutators"])
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": "analytic-classification",
-            "verdict": "pass" if self.consistent else "fail",
-            "symbolAnalytic": self.symbol_analytic,
-            "commutators": [c.to_json_dict() for c in self.checks],
-        }
+        return self.details
 
 
 def classify_analytic(phi: Symbol, window: Window) -> ClassifyReport:
@@ -787,7 +797,7 @@ def classify_analytic(phi: Symbol, window: Window) -> ClassifyReport:
         )
     t_phi = Toeplitz(phi)
     names = [f"s_{i}" for i in range(1, d)] + ["p"]
-    checks = []
+    commutators, witnesses = [], []
     for name, other in zip(names, _distinguished(d, True)[0]):
         commutator = Commutator(t_phi, other)
         witness = None
@@ -795,11 +805,17 @@ def classify_analytic(phi: Symbol, window: Window) -> ClassifyReport:
             col = commutator.column(p)
             if col:
                 q = sorted(col)[0]
-                witness = (q, p, col[q])
+                witness = witness_dict(q, p, col[q])
+                witnesses.append({"partner": name, **witness})
                 break
-        checks.append(CommutatorCheck(name, witness is None, witness))
-    all_zero = all(c.exact_zero for c in checks)
-    return ClassifyReport(phi.is_analytic, checks, consistent=(all_zero == phi.is_analytic))
+        commutators.append({"partner": name, "exactZero": witness is None, "witness": witness})
+    consistent = all(c["exactZero"] for c in commutators) == phi.is_analytic
+    return ClassifyReport(consistent, {
+        "check": "analytic-classification",
+        "verdict": pass_fail(consistent),
+        "symbolAnalytic": phi.is_analytic,
+        "commutators": commutators,
+    }, witnesses)
 
 
 # -- floating norms -----------------------------------------------------------
@@ -852,48 +868,8 @@ def norm_estimate(m, iterations: int = 100, seed: int = 42) -> float:
     return math.sqrt(max(r, 0.0))
 
 
-@dataclass
-class LiftRow:
-    max_top: int
-    min_bottom: int
-    toeplitz_norm: float
-    laurent_norm: float
-    block_ok: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "maxTop": self.max_top,
-            "minBottom": self.min_bottom,
-            "toeplitzNorm": self.toeplitz_norm,
-            "laurentNorm": self.laurent_norm,
-            "blockOk": self.block_ok,
-        }
-
-
-@dataclass
-class LiftReport:
-    rows: list
-    sampled_sup: float
-    chain_ok: bool
-    monotone_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.chain_ok and self.monotone_ok and all(r.block_ok for r in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "laurent-lift",
-            "verdict": "pass" if self.passed else "fail",
-            "sampledSup": self.sampled_sup,
-            "windows": [r.to_json_dict() for r in self.rows],
-            "chainOk": self.chain_ok,
-            "monotoneOk": self.monotone_ok,
-        }
-
-
 def lift_verify(phi: Symbol, windows, seed: int = 42,
-                grid_size: int = 128, tol: float = 1e-9) -> LiftReport:
+                grid_size: int = 128, tol: float = 1e-9) -> Report:
     """Compression/lift consistency of T_phi inside Laurent windows.
 
     For each window: the analytic-square block of the Laurent matrix must
@@ -920,15 +896,21 @@ def lift_verify(phi: Symbol, windows, seed: int = 42,
         tm = assemble(toeplitz_op, wa, wa)
         block = {(q, p): v for (q, p), v in lm.keyed_entries().items()
                  if q.is_analytic and p.is_analytic}
-        block_ok = block == tm.keyed_entries()
-        rows.append(LiftRow(w.max_top, w.min_bottom,
-                            norm_estimate(tm, 200, seed),
-                            norm_estimate(lm, 200, seed),
-                            block_ok))
-    chain_ok = all(r.toeplitz_norm <= r.laurent_norm + tol for r in rows)
-    monotone_ok = all(
-        rows[k].toeplitz_norm <= rows[k + 1].toeplitz_norm + tol
-        and rows[k].laurent_norm <= rows[k + 1].laurent_norm + tol
-        for k in range(len(rows) - 1)
-    )
-    return LiftReport(rows, sampled_sup, chain_ok, monotone_ok)
+        rows.append({"maxTop": w.max_top, "minBottom": w.min_bottom,
+                     "toeplitzNorm": norm_estimate(tm, 200, seed),
+                     "laurentNorm": norm_estimate(lm, 200, seed),
+                     "blockOk": block == tm.keyed_entries()})
+    t_norms = [r["toeplitzNorm"] for r in rows]
+    l_norms = [r["laurentNorm"] for r in rows]
+    chain_ok = all(t <= lo + tol for t, lo in zip(t_norms, l_norms))
+    monotone_ok = all(a <= b + tol for norms in (t_norms, l_norms)
+                      for a, b in zip(norms, norms[1:]))
+    passed = chain_ok and monotone_ok and all(r["blockOk"] for r in rows)
+    return Report(passed, {
+        "check": "laurent-lift",
+        "verdict": pass_fail(passed),
+        "sampledSup": sampled_sup,
+        "windows": rows,
+        "chainOk": chain_ok,
+        "monotoneOk": monotone_ok,
+    }, [], t_norms)

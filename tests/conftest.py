@@ -21,6 +21,11 @@ def symbol_battery(d: int) -> list[Symbol]:
     return out
 
 
+def worst_failure(report) -> float:
+    """Largest margin among a tuple check's failing items (its witnesses), or 0."""
+    return max((item["margin"] for item in report.witnesses), default=0.0)
+
+
 def compose_columns(outer, inner, p) -> dict:
     """Exact column of (outer . inner) at basis vector p."""
     out = {}

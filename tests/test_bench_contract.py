@@ -90,3 +90,27 @@ def test_tracer_counts_each_scalar_op_once(monkeypatch):
     assert counts == [1] * len(ops)
     assert traced_check > 0
     assert {name: cls.__dict__[name] for name in tracing._SCALAR_OPS} == before
+
+
+@pytest.mark.parametrize("workload,prefix", [
+    ("defect_rational", "defect "),
+    ("defect_rational", "block "),
+    ("defect_rational", "classify "),
+    ("bh_battery", "dual-bh "),
+])
+def test_harness_oracles_accept_library_results(workload, prefix, tmp_path, monkeypatch):
+    """The harness's own oracle accepts the first check of each kind that
+    returns a library object, so every attribute it reads still resolves."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    checks = getattr(workloads, workload)(1, str(tmp_path))
+    check = next(c for c in checks if c.name.startswith(prefix))
+    assert check.verify(check.call()) is None
+
+
+def test_star_import_and_unique_exports():
+    namespace = {}
+    exec("from symtoep import *", namespace)
+    assert set(symtoep.__all__) <= set(namespace)
+    assert len(symtoep.__all__) == len(set(symtoep.__all__))

@@ -44,7 +44,10 @@ def unitary_tuple_file(tmp_path):
 
 
 def run_main(argv, capsys):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -177,6 +180,12 @@ def test_verify_missing_inputs(capsys):
          "--d", "2"], capsys)
     assert code == 2
     assert "shift index" in err
+    # a symbol and an operator together are rejected before any file is read
+    code, out, err = run_main(
+        ["verify", "--suite", "brown-halmos", "--symbol", "missing.json",
+         "--operator", "shiftY1", "--d", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
 
 
 def test_verify_empty_window_is_not_a_pass(capsys):

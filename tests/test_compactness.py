@@ -21,6 +21,7 @@ from symtoep import (
     truncation_support,
     unit,
 )
+from symtoep.compactness import eta_blocks
 from conftest import symbol_battery
 
 
@@ -65,15 +66,15 @@ def test_f_l_is_a_projection():
 def test_eta_of_rank_one_vanishes_for_large_shift(j):
     window = analytic_window(2, 6)
     report = eta(rank_one_at((1, 0)), j, window)
-    assert report.is_zero()
-    assert report.block_norm == pytest.approx(0.0, abs=1e-12)
+    assert report.passed
+    assert report.details["blockNorm"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eta_of_identity_is_nonzero():
     window = analytic_window(2, 5)
     report = eta(Toeplitz(unit(2)), 1, window)
-    assert not report.is_zero()
-    assert report.block_norm >= 1.0 - 1e-9
+    assert not report.passed
+    assert report.details["blockNorm"] >= 1.0 - 1e-9
 
 
 def test_eta_cap_counts_the_stack_before_assembling(monkeypatch):
@@ -83,7 +84,7 @@ def test_eta_cap_counts_the_stack_before_assembling(monkeypatch):
     op = Toeplitz(elementary(2, 1))
     entries = (2 * len(window)) ** 2
     monkeypatch.setattr(compactness, "MAX_ETA_ENTRIES", entries)
-    assert eta(op, 1, window).block_norm > 0.0
+    assert eta(op, 1, window).details["blockNorm"] > 0.0
 
     def no_assembly(*args):
         raise AssertionError("eta assembled a block before counting the stack")
@@ -116,8 +117,7 @@ def test_eta_blocks_are_entries_at_shifted_indices():
     phi = elementary(2, 1)
     op = Toeplitz(phi)
     window = analytic_window(2, 4)
-    report = eta(op, 2, window)
-    for (a, b), block in report.blocks.items():
+    for (a, b), block in eta_blocks(op, 2, window).items():
         fa = (1,) * a + (0,) * (2 - a)
         fb = (1,) * b + (0,) * (2 - b)
         for q in window:
@@ -150,8 +150,8 @@ def test_commutator_decay_toeplitz_reaches_exact_zero():
     phi = elementary(2, 1) + elementary(2, 1).conjugate()
     report = commutator_decay(Toeplitz(phi), 1, 4, analytic_window(2, 8))
     assert report.norms[0] > 0.5
-    assert report.final_exact_zero
-    assert report.bh_residual.is_zero()
+    assert report.passed
+    assert report.details["bhResidualZero"]
     assert all(n == pytest.approx(0.0, abs=1e-12) for n in report.norms[1:])
 
 
@@ -162,13 +162,13 @@ def test_commutator_decay_is_zero_from_the_first_step(d):
         window = analytic_window(d, phi.height() + d + 1)
         for i in range(1, d):
             report = commutator_decay(Toeplitz(phi), i, 1, window)
-            assert report.final_exact_zero, (phi, i)
+            assert report.passed, (phi, i)
 
 
 def test_commutator_decay_shift_stays_constant():
     report = commutator_decay(ShiftY(2, 1), 1, 4, analytic_window(2, 8))
-    assert not report.final_exact_zero
-    assert not report.bh_residual.is_zero()
+    assert not report.passed
+    assert not report.details["bhResidualZero"]
     for n in report.norms:
         assert n == pytest.approx(1.0, abs=1e-9)
 
@@ -178,7 +178,8 @@ def test_asymptotic_classify_accepts_toeplitz_plus_finite_rank():
     k = rank_one_at((2, 1))
     report = asymptotic_classify(phi, k, 3, analytic_window(2, 8))
     assert report.passed
-    assert report.decay_ok and report.toeplitz_part_ok and report.residual_eta_ok
+    details = report.details
+    assert details["commutatorDecayOk"] and details["toeplitzPartOk"] and details["residualEtaOk"]
 
 
 def test_asymptotic_classify_rejects_shift_residual():
@@ -190,8 +191,8 @@ def test_asymptotic_classify_rejects_shift_residual():
 def test_opsum_in_diagnostics():
     combined = OpSum([Toeplitz(elementary(2, 1)), rank_one_at((1, 0))])
     window = analytic_window(2, 6)
-    report = eta(combined, 3, window)
-    clean = eta(Toeplitz(elementary(2, 1)), 3, window)
+    blocks = eta_blocks(combined, 3, window)
+    clean = eta_blocks(Toeplitz(elementary(2, 1)), 3, window)
     # the rank-one term is invisible after a shift by 3
-    for key, block in report.blocks.items():
-        assert block.entries == clean.blocks[key].entries
+    for key, block in blocks.items():
+        assert block.entries == clean[key].entries

@@ -94,7 +94,8 @@ def test_block_decomposition_names_only_the_broken_block(kind, block, monkeypatc
             if q.is_analytic == p.is_analytic == side
             and laurent.entry(q, p) != broken.entry(q, p)]
     assert len(want) > 10
-    assert report.witnesses == want[:10]
+    assert report.witnesses == [{"block": name, "row": list(q), "col": list(p)}
+                                for name, q, p in want[:10]]
 
 
 def test_block_decomposition_margin_guard():

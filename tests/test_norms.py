@@ -118,11 +118,12 @@ def test_lift_verify_passes_for_symbols(d):
     windows = [enumerate_window(d, t, -t) for t in (d, d + 2, d + 4)]
     report = lift_verify(phi, windows)
     assert report.passed
-    assert report.chain_ok and report.monotone_ok
-    for row in report.rows:
-        assert row.block_ok
-        assert row.toeplitz_norm <= row.laurent_norm + 1e-9
-    assert report.sampled_sup >= report.rows[-1].toeplitz_norm - 1e-6
+    details = report.details
+    assert details["chainOk"] and details["monotoneOk"]
+    for row in details["windows"]:
+        assert row["blockOk"]
+        assert row["toeplitzNorm"] <= row["laurentNorm"] + 1e-9
+    assert details["sampledSup"] >= details["windows"][-1]["toeplitzNorm"] - 1e-6
 
 
 def test_lift_dense_cap_counts_the_largest_window_first(monkeypatch):
@@ -147,6 +148,6 @@ def test_lift_dense_cap_counts_the_largest_window_first(monkeypatch):
 def test_lift_report_serializes():
     phi = elementary(2, 1)
     report = lift_verify(phi, [enumerate_window(2, 3, -3)])
-    data = report.to_json_dict()
+    data = report.details
     assert data["check"] == "laurent-lift"
     assert data["verdict"] in ("pass", "fail")

@@ -38,13 +38,13 @@ from symtoep import (
     dual_window,
     elementary,
     enumerate_window,
-    eta,
     finite_rank_truncation,
     product_defect,
     recover_symbol,
     shift,
     truncation_support,
 )
+from symtoep.compactness import eta_blocks
 from symtoep.operators import Commutator, _distinguished
 from symtoep.scalars import ONE
 
@@ -240,8 +240,7 @@ def test_eta_blocks_are_entries_at_shifted_indices(phi, perturb, data):
     op = _perturbed(phi, Toeplitz, analytic_window(phi.d, 5), data) if perturb \
         else Toeplitz(phi)
     for j in range(3):
-        report = eta(op, j, window)
-        for (a, b), block in report.blocks.items():
+        for (a, b), block in eta_blocks(op, j, window).items():
             for q in window:
                 for p in window:
                     want = op.entry(shift(q, j, a), shift(p, j, b))
