@@ -401,17 +401,11 @@ def _candidate_points(tables: list, ranks: np.ndarray):
 
 def _grid_chunks(grid_size: int, d: int, size: int):
     """Yield the coordinate index arrays of all grid points in row-major
-    order, size at a time, as views into arrays that the next chunk overwrites."""
+    order, size at a time."""
     n_points = grid_size ** d
-    base = np.arange(size)
-    flat = np.empty(size, dtype=np.int64)
-    idx = [np.empty(size, dtype=np.int64) for _ in range(d)]
     for start in range(0, n_points, size):
-        n = min(size, n_points - start)
-        f = np.add(base[:n], start, out=flat[:n])
-        for k in range(d - 1, -1, -1):
-            np.divmod(f, grid_size, out=(f, idx[k][:n]))
-        yield [a[:n] for a in idx]
+        flat = np.arange(start, min(start + size, n_points))
+        yield np.unravel_index(flat, (grid_size,) * d)
 
 
 def _modulus_kernel(terms: list, powers: dict, size: int):

@@ -109,6 +109,17 @@ def test_harness_oracles_accept_library_results(workload, prefix, tmp_path, monk
     assert check.verify(check.call()) is None
 
 
+def test_recovery_workload_passes_its_own_oracles(tmp_path, monkeypatch):
+    """Every check of the harness's recovery workload, the non-Toeplitz
+    rejections among them, passes the harness's own oracle."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    checks = workloads.recovery(1, str(tmp_path))
+    assert len(checks) == 72
+    assert {c.name: c.verify(c.call()) for c in checks} == {c.name: None for c in checks}
+
+
 def test_star_import_and_unique_exports():
     namespace = {}
     exec("from symtoep import *", namespace)

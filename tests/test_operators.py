@@ -29,9 +29,10 @@ from symtoep import (
     assemble,
     elementary,
     enumerate_window,
+    shift,
     unit,
 )
-from symtoep.operators import _distinguished
+from symtoep.operators import Commutator, _distinguished
 from symtoep.scalars import ONE
 from conftest import compose_columns, symbol_battery
 
@@ -241,6 +242,57 @@ def test_shift_operator_domain():
         ShiftY(2, 0)
     with pytest.raises(DomainError):
         ShiftY(2, 1).entry((1, 0), (0, -1))
+
+
+@pytest.mark.parametrize("kind", [Laurent, Toeplitz, Hankel, DualToeplitz])
+def test_sum_entry_is_the_sum_of_member_entries(kind):
+    """Every kind without a closed form reads its entry off its column; a sum's
+    entry is still its members' entries added, on each pair its sides accept."""
+    battery = symbol_battery(2)
+    rank = FiniteRank(2, [((2, 0), (1, 0), ComplexRational(2, -1)),
+                          ((0, -1), (1, 0), 3), ((1, -2), (0, -1), ComplexRational(0, 1))])
+    ops = [kind(battery[3]), Laurent(battery[5]), rank]
+    total = OpSum(ops)
+    full = enumerate_window(2, 3, -3)
+    rows = [q for q in full if total.accepts_row(q)]
+    cols = [p for p in full if total.accepts_col(p)]
+    assert rows and cols
+    for p in cols:
+        for q in rows:
+            want = sum((op.entry(q, p) for op in ops), ComplexRational(0))
+            assert total.entry(q, p) == want, (tuple(q), tuple(p))
+
+
+@pytest.mark.parametrize("d,j", [(2, 1), (3, 1), (3, 2)])
+def test_shift_entry_is_one_exactly_at_the_shifted_index(d, j):
+    y = ShiftY(d, j)
+    window = analytic_window(d, 4)
+    for p in window:
+        for q in window:
+            assert y.entry(q, p) == (ONE if q == shift(p, 1, j) else ComplexRational(0))
+
+
+def test_commutator_entry_matches_its_column():
+    t = Toeplitz(symbol_battery(2)[5])
+    commutator = Commutator(t, ShiftY(2, 1))
+    window = analytic_window(2, 5)
+    assert any(commutator.column(p) for p in window)
+    for p in window:
+        col = commutator.column(p)
+        for q in window:
+            assert commutator.entry(q, p) == col.get(q, ComplexRational(0))
+
+
+def test_off_side_rows_raise_domain_error():
+    analytic, dual = Partition((1, 0)), Partition((0, -1))
+    up, _ = _distinguished(2, True)
+    down, _ = _distinguished(2, False)
+    cases = [(up[0], dual, analytic), (down[0], analytic, dual),
+             (OpSum([Toeplitz(elementary(2, 1)), ShiftY(2, 1)]), dual, analytic),
+             (ShiftY(2, 1), dual, analytic)]
+    for op, q, p in cases:
+        with pytest.raises(DomainError, match="row index out of domain"):
+            op.entry(q, p)
 
 
 def test_finite_rank_and_sum():

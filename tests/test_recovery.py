@@ -1,13 +1,19 @@
 """Symbol recovery from windowed Toeplitz entries."""
 
+import time
+
 import pytest
 
 from symtoep import (
     ComplexRational,
+    FiniteRank,
     MarginError,
     NotToeplitzError,
+    OpSum,
     ShiftY,
     Toeplitz,
+    analytic_window,
+    bh_residual_entry,
     elementary,
     recover_symbol,
     zero_symbol,
@@ -69,3 +75,53 @@ def test_recovered_coefficients_are_exact_scalars():
     assert recovered.coefficient((1, 0)) == ComplexRational(1, 2)
     assert recovered.coefficient((1, 1)) == ComplexRational(-3)
     assert recovered.coefficient((2, 0)) == ComplexRational(0)
+
+
+def test_toeplitz_plus_rank_one_far_from_the_probes_is_rejected():
+    """T_{s_1} plus a rank-one term at ((1, 0), (4, 3)) agrees with T_{s_1} on
+    every probe, so its probes recover s_1; the window comparison rejects it."""
+    rank_one = FiniteRank(2, [((1, 0), (4, 3), 1)])
+    oracle = OpSum([Toeplitz(elementary(2, 1)), rank_one]).entry
+    with pytest.raises(NotToeplitzError):
+        recover_symbol(oracle, 2, 1)
+
+
+def test_window_cap_comes_before_the_probes():
+    def zero_oracle(q, p):
+        return ComplexRational(0)
+
+    start = time.perf_counter()
+    with pytest.raises(MarginError):
+        recover_symbol(zero_oracle, 2, 10 ** 6)
+    assert time.perf_counter() - start < 1.0
+
+
+class _Recording(Toeplitz):
+    """A Toeplitz operator that records each (q, p) its entry is asked for."""
+
+    def __init__(self, symbol):
+        super().__init__(symbol)
+        self.read = set()
+
+    def entry(self, q, p):
+        self.read.add((tuple(q), tuple(p)))
+        return super().entry(q, p)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_verification_window_holds_every_brown_halmos_read(d, bound):
+    """The Brown-Halmos relations on analytic_window(d, bound + d) read only
+    entries inside analytic_window(d, bound + d + 1), where recover_symbol
+    compares the oracle with the recovered operator.  The recovered
+    operator's residuals vanish, so an oracle with a nonzero residual on the
+    smaller window disagrees with it somewhere on the larger one."""
+    op = _Recording(zero_symbol(d))
+    guard = analytic_window(d, bound + d)
+    for i in range(1, d + 1):
+        for p in guard:
+            for q in guard:
+                bh_residual_entry(op, i, q, p)
+    verified = {tuple(p) for p in analytic_window(d, bound + d + 1)}
+    assert op.read
+    assert {pair for pair in op.read if not set(pair) <= verified} == set()
