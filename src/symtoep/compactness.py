@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, MarginError, require_budget
+from .errors import DomainError, MarginError
 from .operators import (
     Commutator,
     FiniteRank,
@@ -30,12 +30,6 @@ from .partitions import Partition, Window, shift
 from .scalars import ONE
 from .symbols import Symbol
 
-# Largest stacked eta matrix, counted as its (d*n)^2 dense entries before
-# any block is assembled: 64 MB of complex entries, and as much again for
-# norm_estimate's a^H a.  The largest eta the tests, the CLI goldens and
-# the benchmark workloads stack has 252^2 entries (d = 3, n = 84).
-MAX_ETA_ENTRIES = 2 ** 22
-
 
 def eta_blocks(T: OperatorSpec, j: int, window: Window) -> dict:
     """Blocks (Z_a^{*j} T Z_b^j)_{a,b} on the window, keyed by 1-based (a, b).
@@ -43,17 +37,15 @@ def eta_blocks(T: OperatorSpec, j: int, window: Window) -> dict:
     Z_a is the a-th basis shift for a < d and T_p for a = d, so block
     (a,b) at (q,p) is the exact entry of T at (q + j f_a, p + j f_b): T
     assembled on the shifted windows, read at the unshifted positions.
-    A stack over MAX_ETA_ENTRIES raises MarginError before any assembly.
+    A (d*n)^2 stack over MAX_DENSE_ENTRIES raises MarginError before any
+    assembly.
     """
     if j < 0:
         raise DomainError("eta exponent must be >= 0")
     if window.d != T.d:
         raise DomainError("window dimension mismatch")
     d = T.d
-    entries = (d * len(window)) ** 2
-    require_budget(entries, MAX_ETA_ENTRIES, "eta",
-                   f"stacking {d}x{d} eta blocks of {len(window)} rows needs {entries} "
-                   "dense entries", "use a smaller window")
+    _require_dense(d * len(window), f"the eta stack of {d} copies of the window")
     moved = {a: window.shifted(j, a) for a in range(1, d + 1)}
     return {(a, b): MatrixWindow(window, window, assemble(T, moved[a], moved[b]).entries)
             for a in moved for b in moved}

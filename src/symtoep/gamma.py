@@ -300,13 +300,26 @@ def check_gamma_isometry(t: GammaTuple, tol: float = 1e-8,
     (torus_max).  The battery is necessary, not sufficient, and the report
     says so.  Its largest monomial, e_k^3 with k = (d-1)//2, expands to at
     most C(d-1, k)^3 lattice terms; over MAX_LATTICE_TERMS of them (d > 8)
-    raises MarginError before any check runs.
+    raises MarginError before any monomial is expanded.  The whole battery's
+    orbit passes, its lattice terms times C(grid_size + d - 2, d - 1) orbit
+    points, over MAX_TERM_EVALUATIONS raise MarginError before any check runs.
     """
     d = t.d
     terms = comb(d - 1, (d - 1) // 2) ** BATTERY_DEGREE
     require_budget(terms, symbols.MAX_LATTICE_TERMS, "lattice",
                    f"the battery's largest monomial in {d - 1} variables expands to "
                    f"{terms} lattice terms", "use a tuple of smaller d")
+    if grid_size < 1:
+        raise DomainError("grid_size must be >= 1")
+    expos = [expo for expo in itertools.product(range(BATTERY_DEGREE + 1), repeat=d - 1)
+             if 1 <= sum(expo) <= BATTERY_DEGREE]
+    monomials = [_elementary_monomial(expo) for expo in expos]
+    n_terms = sum(map(len, monomials))
+    n_reps = comb(grid_size + d - 2, d - 1)
+    require_budget(n_terms * n_reps, symbols.MAX_TERM_EVALUATIONS, "sampling",
+                   f"the battery's {len(monomials)} monomials hold {n_terms} lattice terms, "
+                   f"{n_terms * n_reps} term evaluations at the {n_reps} orbit points of a "
+                   f"{grid_size}^{d - 1} grid", "use a smaller grid or a tuple of smaller d")
     mats = t.mats
     v = mats[-1]
     eye = np.eye(t.size)
@@ -324,15 +337,13 @@ def check_gamma_isometry(t: GammaTuple, tol: float = 1e-8,
     gammas = [(d - i) / d for i in range(1, d)]
     scaled = [g * m for g, m in zip(gammas, mats[:-1])]
     battery = []
-    for expo in itertools.product(range(BATTERY_DEGREE + 1), repeat=d - 1):
-        if not 1 <= sum(expo) <= BATTERY_DEGREE:
-            continue
+    for expo, monomial in zip(expos, monomials):
         op = eye
         for m, a in zip(scaled, expo):
             for _ in range(a):
                 op = op @ m
         lhs_norm = _opnorm(op)
-        grid_max = torus_max(_elementary_monomial(expo), d - 1, grid_size)
+        grid_max = torus_max(monomial, d - 1, grid_size)
         name = "f=" + "*".join(f"x{k + 1}^{a}" for k, a in enumerate(expo) if a)
         battery.append(_item(name, lhs_norm - grid_max, lhs_norm <= grid_max + tol))
     return _items_report("gamma-isometry", items + battery, items=items,

@@ -765,11 +765,12 @@ def classify_analytic(phi: Symbol, window: Window) -> ClassifyReport:
 
 # -- floating norms -----------------------------------------------------------
 
-# Largest dense window matrix the float lane builds, counted as rows x
-# columns before any assembly: 64 MB of complex entries, and as much again
-# for norm_estimate's a^H a.  The largest the tests, the CLI goldens and the
-# benchmark workloads build is 455^2 (a d = 3 lift_verify test); the
-# largest in cli-suites is 286^2 (its d = 3 decay).
+# Largest dense window matrix the float lane builds (a lift or decay
+# window, or eta's stack of d windows), counted as rows x columns before any
+# assembly: 64 MB of complex entries, and as much again for norm_estimate's
+# a^H a.  The largest the tests, the CLI goldens and the benchmark workloads
+# build is 455^2 (a d = 3 lift_verify test); the largest in cli-suites is
+# 286^2 (its d = 3 decay).
 MAX_DENSE_ENTRIES = 2 ** 22
 
 

@@ -40,8 +40,9 @@ MAX_LATTICE_TERMS = 2 ** 16
 # Torus points torus_max evaluates at once; each of its complex
 # arrays then takes 256 KiB.
 _SAMPLE_CHUNK = 2 ** 14
-# Candidate orbit points torus_max keeps from its orbit pass, 16 MB of
-# ranks and values; past it the whole grid is certified instead.  Only a
+# Candidate orbit points torus_max keeps from its orbit pass, 2^20 x (d + 8)
+# bytes of one-byte coordinates and values at grids below 256 points (12 MB
+# at d = 4); past it the whole grid is certified instead.  Only a
 # symbol whose maximum is nearly attained on a set of full dimension, such
 # as one of constant modulus, comes close at d <= 4 and grid 128.
 _MAX_CANDIDATES = 2 ** 20
@@ -222,9 +223,9 @@ def torus_max(terms: list, d: int, grid_size: int) -> float:
     evaluated, in chunks of _SAMPLE_CHUNK points, then every permutation of
     each point within rounding distance of their maximum: the result is bit
     for bit the full-grid maximum, with the terms summed in their order.
-    The orbit pass keeps a running maximum and only the points within
-    rounding distance of it, not one value per orbit, and reuses its
-    chunk arrays.
+    The orbit pass keeps a running maximum and the coordinates of only the
+    points within rounding distance of it, not one value per orbit, and
+    reuses its chunk arrays.
 
     The work is counted in term evaluations against MAX_TERM_EVALUATIONS
     twice, raising MarginError before any point of the counted step is
@@ -273,29 +274,29 @@ def torus_max(terms: list, d: int, grid_size: int) -> float:
     limit = min(n_points // n_perms, _MAX_CANDIDATES)
     size = min(_SAMPLE_CHUNK, n_points)
     modulus = _modulus_kernel(terms, powers, size)
-    tables = _binomial_tables(grid_size, d)
+    small = np.min_scalar_type(grid_size)
     peak = -np.inf
-    ranks, values = np.empty(0, dtype=np.int64), np.empty(0)
-    for start, idx in _orbit_chunks(tables, size):
+    points, values = np.empty((0, d), dtype=small), np.empty(0)
+    for idx in _orbit_chunks(grid_size, d, size):
         chunk = modulus(idx)
         top = _finite_max(chunk)
         if top > peak:
             peak = top
             keep = values >= peak - slack
-            ranks, values = ranks[keep], values[keep]
+            points, values = points[keep], values[keep]
         near = np.flatnonzero(chunk >= peak - slack)
-        ranks = np.concatenate((ranks, near + start))
+        points = np.concatenate((points, np.stack([a[near] for a in idx], axis=1).astype(small)))
         values = np.concatenate((values, chunk[near]))
-        if len(ranks) > limit:
+        if len(points) > limit:
             break
 
-    if len(ranks) > limit:
+    if len(points) > limit:
         _require_evaluations(len(terms), n_points, f"the whole {grid_size}^{d} grid")
         chunks = _grid_chunks(grid_size, d, size)
     else:
-        _require_evaluations(len(terms), len(ranks) * n_perms,
-                             f"the {len(ranks)} x {n_perms} permutations of the candidate points")
-        chunks = _candidate_points(tables, ranks)
+        _require_evaluations(len(terms), len(points) * n_perms,
+                             f"the {len(points)} x {n_perms} permutations of the candidate points")
+        chunks = _candidate_points(points)
     return float(max(_finite_max(modulus(idx)) for idx in chunks))
 
 
@@ -314,51 +315,24 @@ def _finite_max(values: np.ndarray) -> float:
     return top
 
 
-def _binomial_tables(grid_size: int, d: int) -> list[np.ndarray]:
-    """comb(k - 1 + i, k) for i in range(grid_size + 1), one table per k in 1..d.
+def _orbit_chunks(grid_size: int, d: int, size: int):
+    """Yield the coordinate index arrays of all sorted multisets
+    i_1 <= ... <= i_d of range(grid_size), size at a time, in colex order
+    (i_d slowest), as views into arrays that the next chunk overwrites.
 
-    Each table is the running sum of the one before (Pascal's rule); the
-    last entry of table k counts the sorted k-multisets of range(grid_size).
+    The multiset is the d-subset c_1 < ... < c_d of range(grid_size + d - 1)
+    with c_k = i_k + k - 1, and its position n in that order is
+    sum_k comb(c_k, k) (the combinatorial number system).  Table k holds
+    comb(k - 1 + i, k) for i in range(grid_size + 1), the running sum of
+    table k - 1 (Pascal's rule).  The positions in a chunk are consecutive,
+    so i_d steps up by one at each entry of the last table inside the chunk.
+    Below it, each i_k is looked up by what is left of n in a list of i_k
+    over the positions of the k-multisets, and i_1 is what is left.  So no
+    chunk allocates an array of its size.
     """
     tables = [np.arange(grid_size + 1, dtype=np.int64)]
     for _ in range(d - 1):
         tables.append(np.cumsum(tables[-1]))
-    return tables
-
-
-def _sorted_multisets(tables: list, ranks: np.ndarray) -> list[np.ndarray]:
-    """Coordinate index arrays of the sorted multisets i_1 <= ... <= i_d in
-    range(grid_size) with the given ranks (tables from _binomial_tables).
-
-    The multiset is the d-subset c_1 < ... < c_d of range(grid_size + d - 1)
-    with c_k = i_k + k - 1, and its rank is sum_k comb(c_k, k) (the
-    combinatorial number system), so each i_k is read off greedily from
-    k = d; the first table is range(grid_size + 1), so i_1 is what is left.
-    """
-    idx = [None] * len(tables)
-    rest = ranks
-    for k in range(len(tables), 1, -1):
-        table = tables[k - 1]
-        i = np.searchsorted(table, rest, side="right")
-        i -= 1
-        rest = rest - table[i]
-        idx[k - 1] = i
-    idx[0] = rest
-    return idx
-
-
-def _orbit_chunks(tables: list, size: int):
-    """Yield (start, idx) over all sorted multisets in rank order, size at a
-    time: idx as from _sorted_multisets for the ranks start, start + 1, ...,
-    as views into arrays that the next chunk overwrites.
-
-    The ranks of a chunk are consecutive, so i_d steps up by one at each
-    entry of the last table inside the chunk.  Below it, each i_k is looked
-    up by what is left of the rank in a list of i_k over the ranks of the
-    k-multisets.  So no chunk allocates an array of its size.
-    """
-    d = len(tables)
-    grid_size = len(tables[0]) - 1
     small = np.min_scalar_type(grid_size)
     lookup = {k: np.repeat(np.arange(grid_size, dtype=small), np.diff(tables[k - 1]))
               for k in range(2, d)}
@@ -382,21 +356,21 @@ def _orbit_chunks(tables: list, size: int):
         for k in range(d - 1, 1, -1):
             i = np.take(lookup[k], r, out=idx[k - 1][:n], mode="clip")
             r -= np.take(tables[k - 1], i, out=scratch, mode="clip")
-        yield start, [r] + [a[:n] for a in idx[1:]]
+        yield [r] + [a[:n] for a in idx[1:]]
 
 
-def _candidate_points(tables: list, ranks: np.ndarray):
-    """Coordinate index arrays of the sorted multisets with the given ranks,
-    each taken in every coordinate order, in chunks of at most _SAMPLE_CHUNK
-    points (the orders themselves in blocks of at most _SAMPLE_CHUNK)."""
-    d = len(tables)
+def _candidate_points(points: np.ndarray):
+    """Coordinate index arrays of the given points, one per row, each taken
+    in every coordinate order, in chunks of at most _SAMPLE_CHUNK points
+    (the orders themselves in blocks of at most _SAMPLE_CHUNK)."""
+    d = points.shape[1]
     orders = permutations(range(d))
     while block := list(islice(orders, _SAMPLE_CHUNK)):
         perms = np.array(block)
         step = max(1, _SAMPLE_CHUNK // len(perms))
-        for i in range(0, len(ranks), step):
-            points = np.stack(_sorted_multisets(tables, ranks[i:i + step]), axis=1)[:, perms]
-            yield [points[..., k].ravel() for k in range(d)]
+        for i in range(0, len(points), step):
+            chosen = points[i:i + step][:, perms]
+            yield [chosen[..., k].ravel() for k in range(d)]
 
 
 def _grid_chunks(grid_size: int, d: int, size: int):

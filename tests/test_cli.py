@@ -262,8 +262,8 @@ def test_verify_lift_certification_over_the_sampling_cap_is_domain_error(tmp_pat
 def test_gamma_check_isometry_grid_over_the_sampling_cap_is_domain_error(
         unitary_tuple_file, capsys, monkeypatch):
     _no_sampling(monkeypatch, "_modulus_kernel")
-    # a d = 2 tuple samples a grid in d - 1 = 1 variable, and its first
-    # battery monomial x1 has one term: one grid point over the cap
+    # a d = 2 tuple samples a grid in d - 1 = 1 variable, and its battery's
+    # three one-term monomials at one grid point over the cap are over it
     path, t = unitary_tuple_file
     assert t.d == 2
     code, out, err = run_main(
@@ -271,6 +271,20 @@ def test_gamma_check_isometry_grid_over_the_sampling_cap_is_domain_error(
         capsys)
     assert (code, out) == (3, "")
     assert "domain error" in err and "sampling cap" in err
+
+
+def test_gamma_check_isometry_battery_over_the_sampling_cap_is_domain_error(
+        tmp_path, capsys, monkeypatch):
+    _no_sampling(monkeypatch, "_modulus_kernel")
+    # d = 7 at the default grid 16: each of the 83 monomials fits under the
+    # cap on its own, and their 13,185 lattice terms at the C(21, 6) = 54,264
+    # orbit points of the 16^6 grid do not
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"d": 7, "mats": [[[[1.0, 0.0]]]] * 7}))
+    code, out, err = run_main(["gamma", "check-isometry", "--tuple", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert "domain error" in err and "715470840 term evaluations" in err
+    assert "sampling cap" in err
 
 
 def test_verify_window_over_the_cap_is_domain_error(selfadj_file, capsys, monkeypatch):
@@ -308,8 +322,9 @@ def test_matrix_window_over_the_entry_cap_is_domain_error(capsys, monkeypatch):
     assert "window cap" in err
 
 
-def test_verify_eta_over_the_eta_cap_is_domain_error(selfadj_file, capsys, monkeypatch):
+def test_verify_eta_over_the_dense_cap_is_domain_error(selfadj_file, capsys, monkeypatch):
     import symtoep.compactness as compactness
+    import symtoep.operators as operators
 
     def no_assembly(*args):
         raise AssertionError("eta assembled a block before counting the stack")
@@ -317,10 +332,10 @@ def test_verify_eta_over_the_eta_cap_is_domain_error(selfadj_file, capsys, monke
     monkeypatch.setattr(compactness, "assemble", no_assembly)
     # the default eta window of a height-1 d = 2 symbol: maxtop 1 + 2 + 4
     n = len(analytic_window(2, 7))
-    monkeypatch.setattr(compactness, "MAX_ETA_ENTRIES", (2 * n) ** 2 - 1)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", (2 * n) ** 2 - 1)
     code, out, err = run_main(["verify", "--suite", "eta", "--symbol", selfadj_file], capsys)
     assert (code, out) == (3, "")
-    assert err.startswith("domain error:") and "eta cap" in err
+    assert err.startswith("domain error:") and "dense cap" in err
 
 
 def test_verify_lift_over_the_dense_cap_is_domain_error(capsys, monkeypatch):

@@ -212,8 +212,7 @@ def _run(argv, files, directory):
 def test_every_cap_is_patched():
     names = {name for module in MODULES for name in dir(module) if name.startswith("MAX_")}
     assert names >= {"MAX_WINDOW_ENTRIES", "MAX_INDEX_PERMUTATIONS", "MAX_TERM_EVALUATIONS",
-                     "MAX_LATTICE_TERMS", "MAX_SOLVE_ENTRIES", "MAX_ETA_ENTRIES",
-                     "MAX_DENSE_ENTRIES"}
+                     "MAX_LATTICE_TERMS", "MAX_SOLVE_ENTRIES", "MAX_DENSE_ENTRIES"}
 
 
 @pytest.fixture(scope="module")

@@ -77,21 +77,22 @@ def test_eta_of_identity_is_nonzero():
     assert report.details["blockNorm"] >= 1.0 - 1e-9
 
 
-def test_eta_cap_counts_the_stack_before_assembling(monkeypatch):
+def test_eta_dense_cap_counts_the_stack_before_assembling(monkeypatch):
     import symtoep.compactness as compactness
+    import symtoep.operators as operators
 
     window = analytic_window(2, 5)
     op = Toeplitz(elementary(2, 1))
     entries = (2 * len(window)) ** 2
-    monkeypatch.setattr(compactness, "MAX_ETA_ENTRIES", entries)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", entries)
     assert eta(op, 1, window).details["blockNorm"] > 0.0
 
     def no_assembly(*args):
         raise AssertionError("eta assembled a block before counting the stack")
 
     monkeypatch.setattr(compactness, "assemble", no_assembly)
-    monkeypatch.setattr(compactness, "MAX_ETA_ENTRIES", entries - 1)
-    with pytest.raises(MarginError, match="eta cap"):
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", entries - 1)
+    with pytest.raises(MarginError, match="dense cap"):
         eta(op, 1, window)
 
 

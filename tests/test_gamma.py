@@ -352,6 +352,24 @@ def test_isometry_battery_lattice_cap_boundary(monkeypatch):
         check_gamma_isometry(t, grid_size=2)
 
 
+def test_isometry_battery_sampling_budget_boundary(monkeypatch):
+    import symtoep.symbols as symbols
+
+    # d = 3 at grid 16: 19 lattice terms over the 9 monomials, each at the
+    # C(17, 2) = 136 orbit points of the 16^2 grid
+    t = GammaTuple(3, (np.zeros((1, 1)),) * 2 + (np.eye(1),))
+    monkeypatch.setattr(symbols, "MAX_TERM_EVALUATIONS", 2584)
+    assert check_gamma_isometry(t, grid_size=16).passed
+
+    def no_sampling(*args):
+        raise AssertionError("the battery sampled a monomial before counting the whole battery")
+
+    monkeypatch.setattr(symbols, "_modulus_kernel", no_sampling)
+    monkeypatch.setattr(symbols, "MAX_TERM_EVALUATIONS", 2583)
+    with pytest.raises(MarginError, match="2584 term evaluations.*over the sampling cap"):
+        check_gamma_isometry(t, grid_size=16)
+
+
 def test_isometry_battery_over_the_lattice_cap_builds_nothing(monkeypatch):
     def no_expansion(*args):
         raise AssertionError("the battery expanded a monomial before counting its terms")

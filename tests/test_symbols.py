@@ -318,20 +318,31 @@ def test_torus_max_streams_to_the_full_grid_maximum(phi, grid_size, chunk, candi
         assert phi.sup_norm_sampled(grid_size) == _symbol_sup(phi, grid_size)
 
 
-def test_orbit_chunks_list_the_sorted_multisets_in_rank_order():
-    from symtoep.symbols import _binomial_tables, _orbit_chunks, _sorted_multisets
+def test_orbit_chunks_list_the_sorted_multisets_in_colex_order(monkeypatch):
+    import symtoep.symbols as symbols
 
     for d in range(1, 5):
         for grid_size in range(1, 7):
-            tables = _binomial_tables(grid_size, d)
-            n = math.comb(grid_size + d - 1, d)
-            points = list(zip(*(a.tolist() for a in _sorted_multisets(tables, np.arange(n)))))
-            assert points == sorted(itertools.combinations_with_replacement(range(grid_size), d),
-                                    key=lambda p: p[::-1])
+            points = sorted(itertools.combinations_with_replacement(range(grid_size), d),
+                            key=lambda p: p[::-1])
             for size in (1, 4, 64):
-                streamed = [p for _, idx in _orbit_chunks(tables, size)
+                streamed = [p for idx in symbols._orbit_chunks(grid_size, d, size)
                             for p in zip(*(a.tolist() for a in idx))]
                 assert streamed == points, (d, grid_size, size)
+
+    # the candidates reach certification as rows of the grid's smallest index type
+    seen = []
+    certify = symbols._candidate_points
+
+    def spy(points):
+        seen.append((points.dtype, points.shape[1]))
+        return certify(points)
+
+    monkeypatch.setattr(symbols, "_candidate_points", spy)
+    for grid_size in (9, 300):
+        Symbol(2, {(1, 0): 1}).sup_norm_sampled(grid_size)
+    assert seen == [(np.min_scalar_type(9), 2), (np.min_scalar_type(300), 2)]
+    assert seen[0][0] != seen[1][0]
 
 
 @pytest.mark.parametrize("phi,limit_mb", [
