@@ -9,13 +9,14 @@ Three subcommands:
   decomposition, dual relations, lift norms, commutator decay, eta
   diagnostics) and emit a JSON report.
 * ``gamma``   -- membership and structure checks for symmetrized-polydisk
-  data: point membership, gamma-unitary and gamma-isometry checkers, and
-  the S-Toeplitz equation solver.
+  data: point membership, gamma-unitary and gamma-isometry decisions
+  (a gamma-isometry on C^n is a gamma-unitary), and the S-Toeplitz
+  equation solver.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (a
-non-finite tuple entry is one), 3 domain error, 4 internal error (any
-other exception).  Output is deterministic for a fixed configuration and
-seed.
+non-finite tuple entry is one, and so is a NaN, negative or infinite
+--tol), 3 domain error, 4 internal error (any other exception).  Output
+is deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -181,11 +182,6 @@ def _check_maxtop(maxtop: int | None) -> None:
         raise _InputError(f"--maxtop must be >= 0, got {maxtop}")
 
 
-def _check_grid(grid: int) -> None:
-    if grid < 1:
-        raise _InputError(f"--grid must be >= 1, got {grid}")
-
-
 # --kind: operator class, row window kind, column window kind
 _KINDS = {
     "toeplitz": (Toeplitz, "analytic", "analytic"),
@@ -273,7 +269,8 @@ _SUITES = {
 def _cmd_verify(args) -> int:
     runner, window_kind, op_class, default_top = _SUITES[args.suite]
     _check_maxtop(args.maxtop)
-    _check_grid(args.grid)
+    if args.grid < 1:
+        raise _InputError(f"--grid must be >= 1, got {args.grid}")
     if args.symbol is not None:
         phi = _read_symbol(args.symbol, args.d)
         d = phi.d
@@ -341,9 +338,8 @@ def _cmd_gamma_check_unitary(args) -> int:
 
 
 def _cmd_gamma_check_isometry(args) -> int:
-    _check_grid(args.grid)
     t = _read_tuple(args.tuple)
-    return _tuple_check(args, check_gamma_isometry(t, tol=args.tol, grid_size=args.grid))
+    return _tuple_check(args, check_gamma_isometry(t, tol=args.tol))
 
 
 def _cmd_gamma_solve(args) -> int:
@@ -440,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     isometry = gsub.add_parser("check-isometry")
     isometry.add_argument("--tuple", required=True, help="tuple JSON file")
-    isometry.add_argument("--grid", type=int, default=16)
     _add_options(isometry, "--tol", "--out")
     isometry.set_defaults(func=_cmd_gamma_check_isometry)
 
@@ -459,6 +454,9 @@ def main(argv=None) -> int:
         # numpy's generators take non-negative seeds only
         if getattr(args, "seed", 0) < 0:
             raise _InputError(f"--seed must be >= 0, got {args.seed}")
+        # a NaN, negative or infinite tolerance fails or passes every check
+        if not 0.0 <= getattr(args, "tol", 0.0) < cmath.inf:
+            raise _InputError(f"--tol must be finite and >= 0, got {args.tol}")
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

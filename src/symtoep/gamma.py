@@ -10,22 +10,17 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from . import symbols
 from .errors import DegeneracyError, DomainError, require_budget
 from .operators import Commutator, Laurent, Report, Toeplitz, assemble, pass_fail
 from .partitions import Window, regrade, shift
 from .scalars import ONE
-from .symbols import Symbol, elementary, torus_max
+from .symbols import Symbol, elementary
 
 
-# Largest total degree of the monomials in the Gamma_d-isometry battery.
-BATTERY_DEGREE = 3
 # Largest SVD s_toeplitz_solve takes, counted as the (d*n^2)^2 entries of
 # its U factor before any block is built: 64 MB of complex entries, so
 # 32x32 matrices fit at d = 2.  The largest system the tests, the CLI
@@ -81,9 +76,26 @@ def point_in_gamma(point, tol: float = 1e-9) -> Report:
 
 
 def point_in_bgamma(point, tol: float = 1e-9) -> Report:
-    """Distinguished-boundary membership: every root on the unit circle."""
+    """Distinguished-boundary membership: every root on the unit circle.
+
+    Decided by Cohn's theorem rather than by the roots, which np.roots
+    resolves only to sqrt(eps) at a double root: the roots all lie on the
+    circle iff |s_d| = 1, s_i = conj(s_{d-i}) s_d for every i, and the roots
+    of the polynomial's derivative lie in the closed disk, that is
+    ((d-i)/d s_i)_{i<d} is in Gamma_{d-1}.  margin is the largest of
+    ||s_d| - 1|, the relation defects and the Gamma_{d-1} margin.  A
+    coordinate repeated m >= 3 times is an (m-1)-fold root of the
+    derivative, so it is still resolved only to about eps^(1/(m-1)).
+    """
     roots = _roots(point)
-    return _membership(float(np.max(np.abs(np.abs(roots) - 1.0))), roots, tol)
+    s = [complex(x) for x in point]
+    d = len(s)
+    margin = max([abs(abs(s[-1]) - 1.0)]
+                 + [abs(s[k] - s[d - 2 - k].conjugate() * s[-1]) for k in range(d - 1)])
+    if d > 1:
+        critical = _roots([(d - i) / d * s[i - 1] for i in range(1, d)])
+        margin = max(margin, float(np.max(np.abs(critical))) - 1.0)
+    return _membership(margin, roots, tol)
 
 
 def symmetrize_point(zs) -> tuple:
@@ -272,82 +284,23 @@ def check_gamma_unitary(t: GammaTuple, tol: float = 1e-8, seed: int = 42) -> Rep
                          jointPoints=[[[z.real, z.imag] for z in pt] for pt in joint], tol=tol)
 
 
-def _elementary_monomial(expo) -> list:
-    """(lattice point, count) terms of prod_k e_k^{a_k} in len(expo) variables:
-    each factor e_k adds one 0/1 step vector with k ones, and equal sums are
-    merged after every factor, so the work follows the distinct points."""
-    counts = Counter({(0,) * len(expo): 1})
-    for k, a in enumerate(expo, start=1):
-        for _ in range(a):
-            grown = Counter()
-            for s in itertools.combinations(range(len(expo)), k):
-                grown.update({tuple(x + (i in s) for i, x in enumerate(point)): n
-                              for point, n in counts.items()})
-            counts = grown
-    return [(point, complex(n)) for point, n in counts.items()]
-
-
 @_double_precision_range()
-def check_gamma_isometry(t: GammaTuple, tol: float = 1e-8,
-                         grid_size: int = 16) -> Report:
-    """Necessary checks for a gamma-isometry tuple (S_1, ..., S_{d-1}, V).
+def check_gamma_isometry(t: GammaTuple, tol: float = 1e-8) -> Report:
+    """Decide whether (S_1, ..., S_{d-1}, V) is a gamma-isometry.
 
-    Algebraic part: V is an isometry, the family commutes, and
-    S_{d-i} = S_i^* V.  Spectral part: for every monomial f of total
-    degree <= BATTERY_DEGREE in d-1 variables, the scaled tuple
-    (gamma_i S_i) with gamma_i = (d-i)/d satisfies ||f(gamma_1 S_1, ...)||
-    <= tol + max |f(e_1, ..., e_{d-1})| over the grid_size^(d-1) torus grid
-    (torus_max).  The battery is necessary, not sufficient, and the report
-    says so.  Its largest monomial, e_k^3 with k = (d-1)//2, expands to at
-    most C(d-1, k)^3 lattice terms; over MAX_LATTICE_TERMS of them (d > 8)
-    raises MarginError before any monomial is expanded.  The whole battery's
-    orbit passes, its lattice terms times C(grid_size + d - 2, d - 1) orbit
-    points, over MAX_TERM_EVALUATIONS raise MarginError before any check runs.
+    On C^n an isometry V is unitary.  A gamma-isometry is the restriction of
+    a gamma-unitary (R, U) to a joint invariant subspace M; U maps M onto
+    itself, and R_i^* = R_{d-i} U^* then leaves M invariant too, so M
+    reduces the family and the tuple is a gamma-unitary itself (Biswas and
+    Shyam Roy, J. Funct. Anal. 266, 2014).  So the check is isometry-V
+    followed by check_gamma_unitary's items, with its jointPoints.
     """
-    d = t.d
-    terms = comb(d - 1, (d - 1) // 2) ** BATTERY_DEGREE
-    require_budget(terms, symbols.MAX_LATTICE_TERMS, "lattice",
-                   f"the battery's largest monomial in {d - 1} variables expands to "
-                   f"{terms} lattice terms", "use a tuple of smaller d")
-    if grid_size < 1:
-        raise DomainError("grid_size must be >= 1")
-    expos = [expo for expo in itertools.product(range(BATTERY_DEGREE + 1), repeat=d - 1)
-             if 1 <= sum(expo) <= BATTERY_DEGREE]
-    monomials = [_elementary_monomial(expo) for expo in expos]
-    n_terms = sum(map(len, monomials))
-    n_reps = comb(grid_size + d - 2, d - 1)
-    require_budget(n_terms * n_reps, symbols.MAX_TERM_EVALUATIONS, "sampling",
-                   f"the battery's {len(monomials)} monomials hold {n_terms} lattice terms, "
-                   f"{n_terms * n_reps} term evaluations at the {n_reps} orbit points of a "
-                   f"{grid_size}^{d - 1} grid", "use a smaller grid or a tuple of smaller d")
-    mats = t.mats
-    v = mats[-1]
-    eye = np.eye(t.size)
-    items = []
-    iso_defect = _opnorm(v.conj().T @ v - eye)
-    items.append(_item("isometry-V", iso_defect, iso_defect <= tol))
-    comm = t.commutation_defect()
-    items.append(_item("pairwise-commutation", comm, comm <= tol))
-    for i in range(1, d):
-        lhs = mats[d - i - 1]
-        rhs = mats[i - 1].conj().T @ v
-        defect = _opnorm(lhs - rhs)
-        items.append(_item(f"relation-S{d - i}=S{i}*V", defect, defect <= tol))
-
-    gammas = [(d - i) / d for i in range(1, d)]
-    scaled = [g * m for g, m in zip(gammas, mats[:-1])]
-    battery = []
-    for expo, monomial in zip(expos, monomials):
-        op = eye
-        for m, a in zip(scaled, expo):
-            for _ in range(a):
-                op = op @ m
-        lhs_norm = _opnorm(op)
-        grid_max = torus_max(monomial, d - 1, grid_size)
-        name = "f=" + "*".join(f"x{k + 1}^{a}" for k, a in enumerate(expo) if a)
-        battery.append(_item(name, lhs_norm - grid_max, lhs_norm <= grid_max + tol))
-    return _items_report("gamma-isometry", items + battery, items=items,
-                         vonNeumannBattery={"necessaryOnly": True, "items": battery}, tol=tol)
+    v = t.mats[-1]
+    iso_defect = _opnorm(v.conj().T @ v - np.eye(t.size))
+    unitary = check_gamma_unitary(t, tol)
+    items = [_item("isometry-V", iso_defect, iso_defect <= tol)] + unitary.details["items"]
+    return _items_report("gamma-isometry", items, items=items,
+                         jointPoints=unitary.details["jointPoints"], tol=tol)
 
 
 # -- S-Toeplitz solver ----------------------------------------------------------

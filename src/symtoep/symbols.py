@@ -22,8 +22,8 @@ TORUS_TOL = 1e-12
 # Largest torus sampling job torus_max accepts, counted in term evaluations
 # (lattice terms x grid points), once for its orbit pass of
 # C(grid_size + d - 1, d) points and once for its certification points,
-# each before it starts.  It bounds the maxima of both `lift` (sampledSup)
-# and the Gamma_d-isometry battery.  The default lift grid of 128 fits the
+# each before it starts.  It bounds the maxima of `lift` (sampledSup),
+# torus_max's one caller.  The default lift grid of 128 fits the
 # orbit pass of a d = 4 symbol of up to 11 lattice terms (C(131, 4) =
 # 11,716,640 points), and not the whole 128^4 grid of a one-term symbol of
 # constant modulus.  On one core of a 2-core x86 host, 2^27 evaluations
@@ -217,8 +217,9 @@ class Symbol:
 def torus_max(terms: list, d: int, grid_size: int) -> float:
     """Max |f| over the uniform grid_size^d torus grid, f = sum c * z^point.
 
-    terms are (lattice point, complex coefficient) pairs; f must be
-    symmetric, each permutation of a point a term with the same coefficient.
+    terms are (lattice point, complex coefficient) pairs, a symbol's lattice
+    terms as Symbol.sup_norm_sampled passes them; f must be symmetric, each
+    permutation of a point a term with the same coefficient.
     So one point per permutation orbit (a sorted index multiset) is
     evaluated, in chunks of _SAMPLE_CHUNK points, then every permutation of
     each point within rounding distance of their maximum: the result is bit

@@ -200,12 +200,25 @@ def test_verify_empty_window_is_not_a_pass(capsys):
 
 
 @pytest.mark.parametrize("grid", ["0", "-1"])
-def test_grid_below_one_is_input_error(grid, selfadj_file, unitary_tuple_file, capsys):
-    for argv in (["verify", "--suite", "lift", "--symbol", selfadj_file],
-                 ["gamma", "check-isometry", "--tuple", unitary_tuple_file[0]]):
-        code, out, err = run_main(argv + ["--grid", grid], capsys)
+def test_grid_below_one_is_input_error(grid, selfadj_file, capsys):
+    code, out, err = run_main(
+        ["verify", "--suite", "lift", "--symbol", selfadj_file, "--grid", grid], capsys)
+    assert (code, out) == (2, "")
+    assert "--grid" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_tol_that_is_nan_negative_or_infinite_is_input_error(tol, selfadj_file,
+                                                             unitary_tuple_file, capsys):
+    path = unitary_tuple_file[0]
+    for argv in (["verify", "--suite", "brown-halmos", "--symbol", selfadj_file],
+                 ["gamma", "member", "--point", "0,-1"],
+                 ["gamma", "check-unitary", "--tuple", path],
+                 ["gamma", "check-isometry", "--tuple", path],
+                 ["gamma", "solve-toeplitz", "--tuple", path]):
+        code, out, err = run_main(argv + ["--tol", tol], capsys)
         assert (code, out) == (2, ""), argv
-        assert "--grid" in err
+        assert "--tol" in err
 
 
 def _no_sampling(monkeypatch, *names):
@@ -257,34 +270,6 @@ def test_verify_lift_certification_over_the_sampling_cap_is_domain_error(tmp_pat
     code, out, err = run_main(["verify", "--suite", "lift", "--symbol", str(path)], capsys)
     assert (code, out) == (3, "")
     assert "domain error" in err and "whole 128^4 grid" in err and "sampling cap" in err
-
-
-def test_gamma_check_isometry_grid_over_the_sampling_cap_is_domain_error(
-        unitary_tuple_file, capsys, monkeypatch):
-    _no_sampling(monkeypatch, "_modulus_kernel")
-    # a d = 2 tuple samples a grid in d - 1 = 1 variable, and its battery's
-    # three one-term monomials at one grid point over the cap are over it
-    path, t = unitary_tuple_file
-    assert t.d == 2
-    code, out, err = run_main(
-        ["gamma", "check-isometry", "--tuple", path, "--grid", str(MAX_TERM_EVALUATIONS + 1)],
-        capsys)
-    assert (code, out) == (3, "")
-    assert "domain error" in err and "sampling cap" in err
-
-
-def test_gamma_check_isometry_battery_over_the_sampling_cap_is_domain_error(
-        tmp_path, capsys, monkeypatch):
-    _no_sampling(monkeypatch, "_modulus_kernel")
-    # d = 7 at the default grid 16: each of the 83 monomials fits under the
-    # cap on its own, and their 13,185 lattice terms at the C(21, 6) = 54,264
-    # orbit points of the 16^6 grid do not
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps({"d": 7, "mats": [[[[1.0, 0.0]]]] * 7}))
-    code, out, err = run_main(["gamma", "check-isometry", "--tuple", str(path)], capsys)
-    assert (code, out) == (3, "")
-    assert "domain error" in err and "715470840 term evaluations" in err
-    assert "sampling cap" in err
 
 
 def test_verify_window_over_the_cap_is_domain_error(selfadj_file, capsys, monkeypatch):
@@ -589,6 +574,7 @@ def test_argparse_rejects_unknown_choice(capsys):
     ["gamma", "member", "--point", "0,0", "--seed", "1"],
     ["gamma", "check-isometry", "--tuple", "tuple.json", "--seed", "1"],
     ["gamma", "solve-toeplitz", "--tuple", "tuple.json", "--seed", "1"],
+    ["gamma", "check-isometry", "--tuple", "tuple.json", "--grid", "16"],
 ])
 def test_an_option_the_command_does_not_read_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -35,10 +35,12 @@ def test_importing_the_library_and_cli_loads_no_scipy():
 def test_check_unitary_from_cold_matches_golden_without_scipy(tmp_path):
     # the report goes to stdout, the module list to stderr after main returns
     shutil.copy(GOLDEN / "tuple.json", tmp_path / "tuple.json")
-    proc = _fresh_python(["-c", (
-        "import sys; from symtoep.cli import main; "
-        "code = main(['gamma', 'check-unitary', '--tuple', 'tuple.json']); "
-        f"print({SCIPY_MODULES}, file=sys.stderr); sys.exit(code)")], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == (GOLDEN / "gamma_check_unitary.json").read_bytes()
-    assert proc.stderr.decode().strip() == "[]"
+    for action in ("check-unitary", "check-isometry"):
+        proc = _fresh_python(["-c", (
+            "import sys; from symtoep.cli import main; "
+            f"code = main(['gamma', '{action}', '--tuple', 'tuple.json']); "
+            f"print({SCIPY_MODULES}, file=sys.stderr); sys.exit(code)")], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr.decode()
+        golden = GOLDEN / f"gamma_{action.replace('-', '_')}.json"
+        assert proc.stdout == golden.read_bytes(), action
+        assert proc.stderr.decode().strip() == "[]", action

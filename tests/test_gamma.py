@@ -1,6 +1,6 @@
 """Symmetrized-polydisk membership, tuple checkers, and the relation solver."""
 
-import itertools
+import cmath
 import math
 import warnings
 
@@ -204,16 +204,21 @@ def test_check_gamma_unitary_passes_a_degenerate_spectrum():
     assert len(s_toeplitz_solve(t)) == _grouped_dimension(_joint_points(report)) == 5
 
 
+def _at_most_double(values, d: int):
+    """d draws of values in which none appears three times: point_in_bgamma
+    resolves a triple coordinate only to about sqrt(eps)."""
+    return st.lists(values, min_size=d, max_size=d).filter(
+        lambda drawn: max(map(drawn.count, drawn)) <= 2)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(d=st.integers(2, 3), n=st.integers(2, 4), data=st.data())
 def test_gamma_unitary_with_repeated_joint_points_passes(d, n, data):
     # n diagonal slots share fewer than n joint points, so one repeats; the
-    # phases are eighth roots of unity, so distinct points stay far apart.
-    # Within one point they differ: a repeated coordinate is a multiple root,
-    # which point_in_bgamma resolves only to about sqrt(eps)
+    # phases are eighth roots of unity, so distinct points stay far apart,
+    # and a point may hold a double coordinate
     labels = data.draw(st.lists(st.integers(0, n - 2), min_size=n, max_size=n))
-    phases = data.draw(st.lists(st.lists(st.integers(0, 7), min_size=d, max_size=d,
-                                         unique=True),
+    phases = data.draw(st.lists(_at_most_double(st.integers(0, 7), d),
                                 min_size=n - 1, max_size=n - 1))
     q = unitary_group.rvs(n, random_state=data.draw(st.integers(0, 2 ** 16)))
     us = [q @ np.diag([np.exp(2j * np.pi * phases[k][j] / 8) for k in labels]) @ q.conj().T
@@ -222,6 +227,20 @@ def test_gamma_unitary_with_repeated_joint_points_passes(d, n, data):
     report = check_gamma_unitary(t)
     assert report.passed, report.details
     assert len(s_toeplitz_solve(t)) == _grouped_dimension(_joint_points(report))
+
+
+def test_joint_points_with_a_double_coordinate_pass_both_checks():
+    # the joint points (2, 1) and (2i, -1) each symmetrize a double
+    # coordinate, a double root that np.roots resolves only to about sqrt(eps)
+    q = unitary_group.rvs(2, random_state=0)
+    u = q @ np.diag([1, 1j]) @ q.conj().T
+    t = synth_gamma_unitary([u, u])
+    assert np.allclose(sorted(pt[1].real for pt in _joint_points(check_gamma_unitary(t))),
+                       [-1, 1], atol=1e-12)
+    for check in (check_gamma_unitary, check_gamma_isometry):
+        report = check(t)
+        assert report.passed, report.details
+        assert report.details["items"][-1]["margin"] <= 1e-14
 
 
 def _normal_family(d: int, n: int, seed: int, repeat=None):
@@ -303,12 +322,13 @@ def test_non_commuting_tuple_fails_the_spectrum_item_by_its_algebraic_defect():
 
 
 def test_isometry_battery_rejects_inflated_tuple():
+    # the joint point (2.5, 1) keeps |p| = 1 and the relation, and
+    # (1/2 * 2.5) = 1.25 lies outside Gamma_1
     t = GammaTuple(2, (2.5 * np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
     report = check_gamma_isometry(t)
     assert not report.passed
-    assert report.details["vonNeumannBattery"]["necessaryOnly"] is True
-    failing = [item for item in report.details["vonNeumannBattery"]["items"] if not item["ok"]]
-    assert failing and max(item["margin"] for item in failing) >= 0.2
+    assert [item["name"] for item in report.witnesses] == ["joint-spectrum-in-bGamma"]
+    assert report.witnesses[0]["margin"] >= 0.2
 
 
 def test_isometry_battery_accepts_gamma_unitary():
@@ -318,67 +338,44 @@ def test_isometry_battery_accepts_gamma_unitary():
     assert report.passed
 
 
-def _old_grid_max(expo, grid_size: int) -> float:
-    """prod_k |x_k|^{a_k} maximized over symmetrize_point of every grid point."""
-    axis = np.exp(1j * (2.0 * np.pi * np.arange(grid_size) / grid_size))
-    return max(float(np.prod([abs(x) ** a for x, a in zip(symmetrize_point(zs), expo)]))
-               for zs in itertools.product(axis, repeat=len(expo)))
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(d=st.integers(2, 4), n=st.integers(1, 3), data=st.data())
+def test_check_isometry_passes_iff_every_joint_point_is_in_bgamma(d, n, data):
+    # each joint point symmetrizes d coordinates on the circle, whole degrees
+    # apart or equal, or d - 2 of them and a pair (r e^{it}, e^{it} / r) off
+    # it, which keeps |p| = 1 and s_i = conj(s_{d-i}) p: so V is unitary, the
+    # relations hold, and only the joint spectrum can tell the two apart
+    angle = st.integers(0, 359).map(math.radians)
+    points, off_circle = [], False
+    for _ in range(n):
+        zs = [cmath.exp(1j * a) for a in data.draw(_at_most_double(angle, d))]
+        if data.draw(st.booleans()):
+            r, theta = data.draw(st.floats(1.1, 3)), data.draw(angle)
+            zs[:2] = [r * cmath.exp(1j * theta), cmath.exp(1j * theta) / r]
+            off_circle = True
+        points.append(symmetrize_point(zs))
+    q = unitary_group.rvs(n, random_state=data.draw(st.integers(0, 2 ** 16)))
+    t = GammaTuple(d, tuple(q @ np.diag(values) @ q.conj().T for values in zip(*points)))
+    report = check_gamma_isometry(t)
+    assert report.passed is not off_circle, report.details
+    if off_circle:
+        assert [item["name"] for item in report.witnesses] == ["joint-spectrum-in-bGamma"]
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-@pytest.mark.parametrize("grid_size", range(3, 9))
-def test_isometry_battery_grid_maxima_match_the_pointwise_grid(d, grid_size):
-    # S_i = 0 makes every battery margin 0 - (grid maximum) exactly
-    t = GammaTuple(d, (np.zeros((1, 1)),) * (d - 1) + (np.eye(1),))
-    items = check_gamma_isometry(t, grid_size=grid_size).details["vonNeumannBattery"]["items"]
-    expos = [e for e in itertools.product(range(gamma.BATTERY_DEGREE + 1), repeat=d - 1)
-             if 1 <= sum(e) <= gamma.BATTERY_DEGREE]
-    assert len(items) == len(expos)
-    for item, expo in zip(items, expos):
-        assert item["name"] == "f=" + "*".join(f"x{k + 1}^{a}" for k, a in enumerate(expo) if a)
-        want = _old_grid_max(expo, grid_size)
-        assert abs(-item["margin"] - want) <= 8 * math.ulp(want), (item["name"], item["margin"], want)
-
-
-def test_isometry_battery_lattice_cap_boundary(monkeypatch):
-    import symtoep.symbols as symbols
-
-    # d = 4: the largest monomial, e_1^3 in 3 variables, has 3^3 = 27 terms
-    t = GammaTuple(4, (np.zeros((1, 1)),) * 3 + (np.eye(1),))
-    monkeypatch.setattr(symbols, "MAX_LATTICE_TERMS", 27)
-    assert check_gamma_isometry(t, grid_size=2).passed
-    monkeypatch.setattr(symbols, "MAX_LATTICE_TERMS", 26)
-    with pytest.raises(MarginError, match="27 lattice terms, over the lattice cap"):
-        check_gamma_isometry(t, grid_size=2)
-
-
-def test_isometry_battery_sampling_budget_boundary(monkeypatch):
-    import symtoep.symbols as symbols
-
-    # d = 3 at grid 16: 19 lattice terms over the 9 monomials, each at the
-    # C(17, 2) = 136 orbit points of the 16^2 grid
-    t = GammaTuple(3, (np.zeros((1, 1)),) * 2 + (np.eye(1),))
-    monkeypatch.setattr(symbols, "MAX_TERM_EVALUATIONS", 2584)
-    assert check_gamma_isometry(t, grid_size=16).passed
-
-    def no_sampling(*args):
-        raise AssertionError("the battery sampled a monomial before counting the whole battery")
-
-    monkeypatch.setattr(symbols, "_modulus_kernel", no_sampling)
-    monkeypatch.setattr(symbols, "MAX_TERM_EVALUATIONS", 2583)
-    with pytest.raises(MarginError, match="2584 term evaluations.*over the sampling cap"):
-        check_gamma_isometry(t, grid_size=16)
-
-
-def test_isometry_battery_over_the_lattice_cap_builds_nothing(monkeypatch):
-    def no_expansion(*args):
-        raise AssertionError("the battery expanded a monomial before counting its terms")
-
-    monkeypatch.setattr(gamma, "_elementary_monomial", no_expansion)
-    # d = 10 at grid 1 is one torus point, but C(9, 4)^3 = 2000376 lattice terms
-    t = GammaTuple(10, (np.zeros((1, 1)),) * 9 + (np.eye(1),))
-    with pytest.raises(MarginError, match="2000376 lattice terms"):
-        check_gamma_isometry(t, grid_size=1)
+def test_check_isometry_agrees_with_the_roots_on_random_scalar_tuples():
+    # 1x1 d = 3 tuples with |p| = 1 and s_2 = conj(s_1) p pass every
+    # algebraic item, and about a fifth of them lie in bGamma_3: their roots
+    # are simple, so np.roots resolves them to rounding and tells which
+    rng = np.random.default_rng(7)
+    on_circle = []
+    for _ in range(1000):
+        s1 = 3 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        p = np.exp(2j * np.pi * rng.random())
+        t = GammaTuple(3, tuple(np.array([[z]]) for z in (s1, np.conj(s1) * p, p)))
+        roots = np.roots([1, -s1, np.conj(s1) * p, -p])
+        on_circle.append(np.max(np.abs(np.abs(roots) - 1)) <= 1e-6)
+        assert check_gamma_isometry(t).passed == on_circle[-1], (s1, p)
+    assert 0 < sum(on_circle) < 1000
 
 
 def test_s_toeplitz_solver_hand_pair():

@@ -15,16 +15,13 @@ from symtoep import (
     DomainError,
     MarginError,
     Symbol,
-    check_gamma_isometry,
     combine,
     elementary,
     multiply,
-    synth_gamma_unitary,
     unit,
     zero_symbol,
 )
-from symtoep.gamma import _elementary_monomial
-from symtoep.symbols import MAX_TERM_EVALUATIONS, torus_max
+from symtoep.symbols import MAX_TERM_EVALUATIONS
 from conftest import symbol_battery
 
 
@@ -224,7 +221,9 @@ def test_sup_norm_equals_the_full_grid_maximum(phi, grid_size):
     # point whose transpose rounds highest rounds below the orbit maximum
     # 2.5 itself, so only the rounding bound keeps it a candidate
     (Symbol(2, {(1, 1): ComplexRational.from_strings("-3/2", "2")}), 3, 2.5000000000000004),
-], ids=["transpose-above-orbit-max", "candidate-below-orbit-max"])
+    # z1 z2 z3 at grid 13 reads 1.0000000000000002 on the sorted points alone
+    (Symbol(3, {(1, 1, 1): ComplexRational(1)}), 13, 1.0000000000000004),
+], ids=["transpose-above-orbit-max", "candidate-below-orbit-max", "product-above-orbit-max"])
 def test_sup_norm_certifies_the_orbit_maximum(phi, grid_size, expected):
     assert phi.sup_norm_sampled(grid_size) == _symbol_sup(phi, grid_size) == expected
 
@@ -396,28 +395,6 @@ def test_lattice_cap_boundary(monkeypatch):
     _no_orbit_enumeration(monkeypatch)
     with pytest.raises(MarginError, match="9 lattice points"):
         Symbol(3, {(2, 1, 0): 1, (1, 0, 0): 2}).lattice_terms()
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(expo=st.integers(1, 3).flatmap(
-           lambda dim: st.lists(st.integers(0, 3), min_size=dim, max_size=dim)).filter(any),
-       grid_size=st.integers(3, 16))
-@example(expo=[0, 0, 1], grid_size=13)
-def test_torus_max_of_a_battery_monomial_equals_the_full_grid_maximum(expo, grid_size):
-    # prod_k e_k^{a_k} in dim = 1..3 variables, as the Gamma_d-isometry
-    # battery samples it; dim = 1 is below the smallest symbol dimension.
-    # The example z1 z2 z3 at grid 13 reads 1.0000000000000002 on the orbit
-    # representatives and 1.0000000000000004 on the full grid.
-    terms = _elementary_monomial(expo)
-    dim = len(expo)
-    assert torus_max(terms, dim, grid_size) == _full_grid_sup(terms, dim, grid_size)
-
-
-@pytest.mark.parametrize("grid_size", [0, -3])
-def test_gamma_check_isometry_grid_below_one_is_domain_error(grid_size):
-    t = synth_gamma_unitary([np.eye(2), -np.eye(2)])
-    with pytest.raises(DomainError, match="grid_size"):
-        check_gamma_isometry(t, grid_size=grid_size)
 
 
 def test_json_round_trip():
