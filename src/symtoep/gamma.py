@@ -57,9 +57,12 @@ def _roots(point) -> np.ndarray:
 
 
 def _membership(margin: float, roots, tol: float) -> Report:
-    """A membership verdict: the point is in the set when margin <= tol."""
-    inside = margin <= tol
+    """A membership verdict: the point is in the set when margin <= tol.
+    A margin or a root that is not finite raises DomainError."""
     roots = [complex(z) for z in roots]
+    if not np.isfinite([margin, *roots]).all():
+        raise DomainError("the membership margin overflows double precision")
+    inside = margin <= tol
     return Report(inside, {"inSet": inside, "margin": margin,
                            "roots": [[z.real, z.imag] for z in roots], "tol": tol})
 

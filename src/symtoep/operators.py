@@ -786,7 +786,9 @@ def norm_estimate(m, iterations: int = 100, seed: int = 42) -> float:
 
     Rayleigh quotients of A^*A are nondecreasing along the iteration, so
     more iterations never lower the estimate.  A zero window returns 0.0
-    before any dense matrix is built, as the iteration would.
+    before any dense matrix is built, as the iteration would.  A^*A, an
+    iterate or the estimate that overflows double precision raises
+    DomainError.
     """
     if isinstance(m, MatrixWindow):
         if m.is_zero():
@@ -796,21 +798,29 @@ def norm_estimate(m, iterations: int = 100, seed: int = 42) -> float:
         a = np.asarray(m, dtype=complex)
     if a.size == 0:
         return 0.0
-    b = a.conj().T @ a
-    n = b.shape[0]
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    # one buffer per vector, and np.linalg.norm's own operations on y's parts
-    y = np.empty_like(x)
-    yr, yi = y.real, y.imag
-    for _ in range(iterations):
-        np.matmul(b, x, out=y)
-        ny = math.sqrt(yr.dot(yr) + yi.dot(yi))
-        if ny < 1e-300:
-            return 0.0
-        np.divide(y, ny, out=x)
-    r = float(np.real(np.vdot(x, b @ x)))
+    overflow = DomainError("the norm estimate overflows double precision")
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = a.conj().T @ a
+        if not np.isfinite(b).all():
+            raise overflow
+        n = b.shape[0]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+        # one buffer per vector, and np.linalg.norm's own operations on y's parts
+        y = np.empty_like(x)
+        yr, yi = y.real, y.imag
+        for _ in range(iterations):
+            np.matmul(b, x, out=y)
+            ny = math.sqrt(yr.dot(yr) + yi.dot(yi))
+            if ny < 1e-300:
+                return 0.0
+            if not ny < math.inf:  # else the next iterate is 0 and the estimate 0.0
+                raise overflow
+            np.divide(y, ny, out=x)
+        r = float(np.real(np.vdot(x, b @ x)))
+    if not math.isfinite(r):
+        raise overflow
     return math.sqrt(max(r, 0.0))
 
 
@@ -821,14 +831,16 @@ def lift_verify(phi: Symbol, windows, seed: int = 42,
     For each window: the analytic-square block of the Laurent matrix must
     equal the Toeplitz matrix exactly, and the windowed Toeplitz norm may
     not exceed the windowed Laurent norm (floating tolerance).  Both norm
-    sequences are nondecreasing over increasing windows and approach the
-    sampled sup norm of the symbol from below.  A window whose dense matrix
-    is over MAX_DENSE_ENTRIES raises MarginError before any sampling.
+    sequences are nondecreasing over increasing windows, and every norm is
+    at most sup |phi|, so at most supUpper, the upper bound from the one
+    sampling pass (Symbol.sup_norm_sampled), within tol * max(1, supUpper).
+    A window whose dense matrix is over MAX_DENSE_ENTRIES raises
+    MarginError before any sampling.
     """
     windows = list(windows)
     _require_dense(max((len(w) for w in windows), default=0), "the largest lift window")
     # sampling next: a grid over the sampling cap fails before any assembly
-    sampled_sup = phi.sup_norm_sampled(grid_size)
+    sampled_sup, sup_upper = phi.sup_norm_sampled(grid_size)
     rows = []
     laurent_op = Laurent(phi)
     toeplitz_op = Toeplitz(phi)
@@ -851,12 +863,16 @@ def lift_verify(phi: Symbol, windows, seed: int = 42,
     chain_ok = all(t <= lo + tol for t, lo in zip(t_norms, l_norms))
     monotone_ok = all(a <= b + tol for norms in (t_norms, l_norms)
                       for a, b in zip(norms, norms[1:]))
-    passed = chain_ok and monotone_ok and all(r["blockOk"] for r in rows)
+    # relative slack: the norms of a unimodular symbol round to just above 1
+    norm_bound_ok = all(x <= sup_upper + tol * max(1.0, sup_upper) for x in t_norms + l_norms)
+    passed = chain_ok and monotone_ok and norm_bound_ok and all(r["blockOk"] for r in rows)
     return Report(passed, {
         "check": "laurent-lift",
         "verdict": pass_fail(passed),
         "sampledSup": sampled_sup,
+        "supUpper": sup_upper,
         "windows": rows,
         "chainOk": chain_ok,
         "monotoneOk": monotone_ok,
+        "normBoundOk": norm_bound_ok,
     }, [], t_norms)

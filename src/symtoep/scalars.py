@@ -20,6 +20,8 @@ import re
 from fractions import Fraction
 from math import gcd
 
+from .errors import DomainError
+
 _new = object.__new__
 # Largest decimal exponent from_strings reads: Fraction("1e999999999")
 # would build a billion-digit integer, while int() already holds a plain
@@ -105,7 +107,10 @@ class ComplexRational:
     def to_complex(self) -> complex:
         # int / int is correctly rounded, as float() of either part is
         n = self._n
-        return complex(self._a / n, self._b / n)
+        try:
+            return complex(self._a / n, self._b / n)
+        except OverflowError:
+            raise DomainError("an exact value is beyond double precision") from None
 
     def abs2(self) -> int | Fraction:
         a, b, n = self._a, self._b, self._n

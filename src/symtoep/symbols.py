@@ -9,8 +9,7 @@ sampled sup-norms are the only floating-point operations.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, permutations
-from math import comb, factorial, prod
+from math import comb, hypot, isfinite, pi, prod, sqrt
 
 import numpy as np
 
@@ -20,15 +19,12 @@ from .scalars import ComplexRational
 
 TORUS_TOL = 1e-12
 # Largest torus sampling job torus_max accepts, counted in term evaluations
-# (lattice terms x grid points), once for its orbit pass of
-# C(grid_size + d - 1, d) points and once for its certification points,
-# each before it starts.  It bounds the maxima of `lift` (sampledSup),
-# torus_max's one caller.  The default lift grid of 128 fits the
-# orbit pass of a d = 4 symbol of up to 11 lattice terms (C(131, 4) =
-# 11,716,640 points), and not the whole 128^4 grid of a one-term symbol of
-# constant modulus.  On one core of a 2-core x86 host, 2^27 evaluations
-# took 1.8 s in the orbit pass of z1 + z2 and 5.5 s on the whole grid of
-# z1 z2 z3 z4, where each term evaluation carries the most per-point work.
+# (lattice terms x grid points) over its one orbit pass of
+# C(grid_size + d - 1, d) points, before any point is evaluated.  It bounds
+# the sampling of `lift` (sampledSup and supUpper), torus_max's one caller.
+# The default lift grid of 128 fits the orbit pass of a d = 4 symbol of up
+# to 11 lattice terms (C(131, 4) = 11,716,640 points).  On one core of a
+# 2-core x86 host, 2^27 evaluations took 1.8 s in the orbit pass of z1 + z2.
 MAX_TERM_EVALUATIONS = 2 ** 27
 # Largest orbit expansion lattice_terms builds, counted as the sum of
 # d!/prod(mult!) over the orbit representatives before any point is made:
@@ -40,12 +36,6 @@ MAX_LATTICE_TERMS = 2 ** 16
 # Torus points torus_max evaluates at once; each of its complex
 # arrays then takes 256 KiB.
 _SAMPLE_CHUNK = 2 ** 14
-# Candidate orbit points torus_max keeps from its orbit pass, 2^20 x (d + 8)
-# bytes of one-byte coordinates and values at grids below 256 points (12 MB
-# at d = 4); past it the whole grid is certified instead.  Only a
-# symbol whose maximum is nearly attained on a set of full dimension, such
-# as one of constant modulus, comes close at d <= 4 and grid 128.
-_MAX_CANDIDATES = 2 ** 20
 
 
 def _validate_rep(m, d) -> tuple[int, ...]:
@@ -178,14 +168,29 @@ class Symbol:
             total += c.to_complex() * w
         return total
 
-    def sup_norm_sampled(self, grid_size: int) -> float:
-        """Max |phi| over the uniform grid_size^d torus grid (see torus_max).
+    def sup_norm_sampled(self, grid_size: int) -> tuple[float, float]:
+        """(sampled, upper): bounds on sup |phi| from one orbit pass over the
+        uniform grid_size^d torus grid (see torus_max).
 
-        A certified lower bound on the sup norm; refining the grid to a
-        multiple of grid_size never decreases the value.
+        sampled is the orbit-pass maximum M: at most the computed maximum
+        over the whole grid, and within twice its rounding bound B of it.
+        upper is the smaller of the l1 norm L0 and
+        sqrt((M + B)^2 + h^2 (L1^2 + L0 L2)), where h = pi/grid_size and
+        L_k = sum |c| |m|_1^k over the lattice terms: at a maximizer of
+        |phi|^2 the gradient vanishes, the nearest grid point is within h in
+        each coordinate, and along that step the second derivative of |phi|^2
+        is at most 2 h^2 (L1^2 + L0 L2).  An upper bound that is not finite
+        raises DomainError.
         """
         terms = [(point, c.to_complex()) for point, c in self.lattice_terms()]
-        return torus_max(terms, self.d, grid_size)
+        sampled, rounding = torus_max(terms, self.d, grid_size)
+        weights = [(hypot(c.real, c.imag), sum(map(abs, point))) for point, c in terms]
+        l0, l1, l2 = (sum(a * n ** k for a, n in weights) for k in range(3))
+        curvature = pi / grid_size * sqrt(l1 * l1 + l0 * l2)
+        upper = min(l0, hypot(sampled + rounding, curvature))
+        if not isfinite(upper):
+            raise DomainError("the sup norm bound is not finite in double precision")
+        return sampled, upper
 
     # -- serialization ----------------------------------------------------
 
@@ -214,36 +219,36 @@ class Symbol:
         return cls(d, coeffs)
 
 
-def torus_max(terms: list, d: int, grid_size: int) -> float:
-    """Max |f| over the uniform grid_size^d torus grid, f = sum c * z^point.
+def torus_max(terms: list, d: int, grid_size: int) -> tuple[float, float]:
+    """(M, B): the largest |f| over the permutation orbits of the uniform
+    grid_size^d torus grid, f = sum c * z^point, and its rounding bound.
 
     terms are (lattice point, complex coefficient) pairs, a symbol's lattice
     terms as Symbol.sup_norm_sampled passes them; f must be symmetric, each
-    permutation of a point a term with the same coefficient.
-    So one point per permutation orbit (a sorted index multiset) is
-    evaluated, in chunks of _SAMPLE_CHUNK points, then every permutation of
-    each point within rounding distance of their maximum: the result is bit
-    for bit the full-grid maximum, with the terms summed in their order.
-    The orbit pass keeps a running maximum and the coordinates of only the
-    points within rounding distance of it, not one value per orbit, and
-    reuses its chunk arrays.
+    permutation of a point a term with the same coefficient.  So one point
+    per orbit (a sorted index multiset) is evaluated, in chunks of
+    _SAMPLE_CHUNK points, keeping a running maximum M and reusing the chunk
+    arrays.  Every point is evaluated the same way wherever it is, so M is
+    at most the computed full-grid maximum; it is within 2B of it, and the
+    exact sum of the rounded terms is at most M + B on the whole grid.
 
-    The work is counted in term evaluations against MAX_TERM_EVALUATIONS
-    twice, raising MarginError before any point of the counted step is
-    evaluated: the orbit points first, then the certification points (the
-    candidates' permutations, or the whole grid when that is fewer).  A
-    power table or a sampled value that is not finite raises DomainError.
+    The orbit points are counted in term evaluations against
+    MAX_TERM_EVALUATIONS, raising MarginError before any point is evaluated.
+    A power table or a sampled value that is not finite raises DomainError.
     """
     if grid_size < 1:
         raise DomainError("grid_size must be >= 1")
     if not terms:
-        return 0.0
+        return 0.0, 0.0
     if min(d, grid_size - 1) > 64:  # C(n, k) >= 2^min(k, n - k): over the cap uncomputed
         require_budget(2 ** 64, MAX_TERM_EVALUATIONS, "sampling",
                        f"a {grid_size}^{d} torus grid has more than 2^64 orbit points",
                        "use a smaller grid")
     n_reps = comb(grid_size + d - 1, d)
-    _require_evaluations(len(terms), n_reps, f"the {n_reps} orbit points of a {grid_size}^{d} grid")
+    require_budget(len(terms) * n_reps, MAX_TERM_EVALUATIONS, "sampling",
+                   f"{len(terms)} terms at the {n_reps} orbit points of a {grid_size}^{d} grid"
+                   f" are {len(terms) * n_reps} term evaluations",
+                   "use a smaller grid or a symbol with fewer terms")
     axis = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = {e: axis ** e for point, _ in terms for e in point if e}
@@ -251,61 +256,24 @@ def torus_max(terms: list, d: int, grid_size: int) -> float:
         if not np.isfinite(table).all():
             raise DomainError(f"z^{e} is not finite in double precision on the torus grid")
 
-    # Certification.  Let T(x) be the exact sum over the lattice terms
-    # p of c_p * prod_k powers[p_k][x_k].  Its factors are table floats
-    # and c_p is constant on orbits, so T is exactly symmetric.  The
-    # computed modulus at x is within B = (n + d + 2) * 4 eps * S of |T(x)|,
-    # where n is the number of terms and S = sum_p |c_p| prod_k
-    # max|powers[p_k]| bounds every term and partial sum: each term
-    # takes at most d complex products (relative error below 2 eps
-    # each), the n-term sum adds at most n eps * S and the modulus
-    # 4 eps * S.  The full-grid maximum is at least the largest
-    # representative value M, so it sits at a permutation of a
-    # representative whose value is at least M - 2B.  Overflow voids
-    # the bound, and then every representative is a candidate.
+    # Rounding.  Let T(x) be the exact sum over the lattice terms p of
+    # c_p * prod_k powers[p_k][x_k].  Its factors are table floats and c_p
+    # is constant on orbits, so T is exactly symmetric.  The computed
+    # modulus at x is within B = (n + d + 2) * 4 eps * S of |T(x)|, where n
+    # is the number of terms and S = sum_p |c_p| prod_k max|powers[p_k]|
+    # bounds every term and partial sum: each term takes at most d complex
+    # products (relative error below 2 eps each), the n-term sum adds at
+    # most n eps * S and the modulus 4 eps * S.
     magnitude = {e: float(np.abs(table).max()) for e, table in powers.items()}
-    scale = sum(abs(c) * prod(magnitude[e] for e in point if e) for point, c in terms)
+    # hypot(re, im) is abs(c), but inf where abs raises OverflowError
+    scale = sum(hypot(c.real, c.imag) * prod(magnitude[e] for e in point if e)
+                for point, c in terms)
     bound = (len(terms) + d + 2) * 4 * np.finfo(float).eps * scale
-    slack = 2 * bound if np.isfinite(4 * scale) else np.inf
 
-    n_points = grid_size ** d
-    n_perms = factorial(d)
-    # past this many candidates the whole grid is evaluated instead, with the
-    # same maximum: it is then fewer points, or the candidates outgrow memory
-    limit = min(n_points // n_perms, _MAX_CANDIDATES)
-    size = min(_SAMPLE_CHUNK, n_points)
+    size = min(_SAMPLE_CHUNK, n_reps)
     modulus = _modulus_kernel(terms, powers, size)
-    small = np.min_scalar_type(grid_size)
-    peak = -np.inf
-    points, values = np.empty((0, d), dtype=small), np.empty(0)
-    for idx in _orbit_chunks(grid_size, d, size):
-        chunk = modulus(idx)
-        top = _finite_max(chunk)
-        if top > peak:
-            peak = top
-            keep = values >= peak - slack
-            points, values = points[keep], values[keep]
-        near = np.flatnonzero(chunk >= peak - slack)
-        points = np.concatenate((points, np.stack([a[near] for a in idx], axis=1).astype(small)))
-        values = np.concatenate((values, chunk[near]))
-        if len(points) > limit:
-            break
-
-    if len(points) > limit:
-        _require_evaluations(len(terms), n_points, f"the whole {grid_size}^{d} grid")
-        chunks = _grid_chunks(grid_size, d, size)
-    else:
-        _require_evaluations(len(terms), len(points) * n_perms,
-                             f"the {len(points)} x {n_perms} permutations of the candidate points")
-        chunks = _candidate_points(points)
-    return float(max(_finite_max(modulus(idx)) for idx in chunks))
-
-
-def _require_evaluations(n_terms: int, n_points: int, where: str) -> None:
-    """Raise MarginError if n_terms terms at n_points points are over the sampling cap."""
-    require_budget(n_terms * n_points, MAX_TERM_EVALUATIONS, "sampling",
-                   f"{n_terms} terms at {where} are {n_terms * n_points} term evaluations",
-                   "use a smaller grid or a symbol with fewer terms")
+    peak = max(_finite_max(modulus(idx)) for idx in _orbit_chunks(grid_size, d, size))
+    return float(peak), float(bound)
 
 
 def _finite_max(values: np.ndarray) -> float:
@@ -358,29 +326,6 @@ def _orbit_chunks(grid_size: int, d: int, size: int):
             i = np.take(lookup[k], r, out=idx[k - 1][:n], mode="clip")
             r -= np.take(tables[k - 1], i, out=scratch, mode="clip")
         yield [r] + [a[:n] for a in idx[1:]]
-
-
-def _candidate_points(points: np.ndarray):
-    """Coordinate index arrays of the given points, one per row, each taken
-    in every coordinate order, in chunks of at most _SAMPLE_CHUNK points
-    (the orders themselves in blocks of at most _SAMPLE_CHUNK)."""
-    d = points.shape[1]
-    orders = permutations(range(d))
-    while block := list(islice(orders, _SAMPLE_CHUNK)):
-        perms = np.array(block)
-        step = max(1, _SAMPLE_CHUNK // len(perms))
-        for i in range(0, len(points), step):
-            chosen = points[i:i + step][:, perms]
-            yield [chosen[..., k].ravel() for k in range(d)]
-
-
-def _grid_chunks(grid_size: int, d: int, size: int):
-    """Yield the coordinate index arrays of all grid points in row-major
-    order, size at a time."""
-    n_points = grid_size ** d
-    for start in range(0, n_points, size):
-        flat = np.arange(start, min(start + size, n_points))
-        yield np.unravel_index(flat, (grid_size,) * d)
 
 
 def _modulus_kernel(terms: list, powers: dict, size: int):

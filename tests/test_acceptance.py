@@ -199,7 +199,7 @@ def test_criterion_7_norm_convergence():
             failures.append(("monotonicity", norms))
     if norms[-1] < 1.9:  # threshold frozen from the first baseline run
         failures.append(("final norm below 1.9", norms[-1]))
-    sampled = phi.sup_norm_sampled(256)
+    sampled, _ = phi.sup_norm_sampled(256)
     if abs(sampled - 2.0) > 1e-3:
         failures.append(("sampled sup", sampled))
     finish(7, "norm convergence", started, failures)

@@ -253,23 +253,42 @@ def test_verify_lift_grid_over_the_sampling_cap_is_domain_error(selfadj_file, ca
     assert "domain error" in err and "sampling cap" in err
 
 
-def test_verify_lift_certification_over_the_sampling_cap_is_domain_error(tmp_path, capsys,
-                                                                         monkeypatch):
+@pytest.mark.parametrize("scale,d", [(1, 4), (10 ** 6, 2)], ids=["s4", "1e6-s2"])
+def test_verify_lift_of_a_constant_modulus_symbol_passes(scale, d, tmp_path, capsys):
+    # scale * s_d has modulus scale everywhere, so every orbit point is
+    # near-maximal; s_4 samples its C(131, 4) orbit points once.  The norms
+    # of s_4 read up to 1.0000000000000002, those of 10^6 s_2 round to both
+    # sides of 10^6.
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(elementary(d, d).scaled(scale).to_json_dict()))
+    code, out, err = run_main(["verify", "--suite", "lift", "--symbol", str(path),
+                               "--grid", "128"], capsys)
+    assert (code, err) == (0, "")
+    details = json.loads(out)["details"]
+    assert details["normBoundOk"] and details["supUpper"] == scale
+
+
+def test_verify_lift_fails_a_kernel_that_doubles_every_entry(capsys, monkeypatch):
+    from pathlib import Path
+
     import symtoep.operators as operators
 
-    def no_assembly(*args):
-        raise AssertionError("lift assembled windows before sampling the symbol")
+    image = operators._SymbolOperator._image
 
-    monkeypatch.setattr(operators, "assemble", no_assembly)
-    _no_sampling(monkeypatch, "_grid_chunks", "_candidate_points")
-    # |z1 z2 z3 z4| = 1: every orbit point is a candidate, so the orbit pass
-    # (C(131, 4) points, one term) fits and certifying on the whole 128^4
-    # grid does not
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps({"d": 4, "terms": [{"m": [1, 1, 1, 1], "re": "1", "im": "0"}]}))
-    code, out, err = run_main(["verify", "--suite", "lift", "--symbol", str(path)], capsys)
-    assert (code, out) == (3, "")
-    assert "domain error" in err and "whole 128^4 grid" in err and "sampling cap" in err
+    def doubled(self, p):
+        return {q: v + v for q, v in image(self, p).items()}
+
+    # the Laurent block still equals the Toeplitz matrix and both norm
+    # sequences still grow: only the bound by the symbol sees the scale
+    monkeypatch.setattr(operators._SymbolOperator, "_image", doubled)
+    phi = Path(__file__).parent / "golden" / "phi.json"
+    code, out, err = run_main(["verify", "--suite", "lift", "--symbol", str(phi)], capsys)
+    assert (code, err) == (1, "")
+    details = json.loads(out)["details"]
+    assert details["chainOk"] and details["monotoneOk"]
+    assert all(row["blockOk"] for row in details["windows"])
+    assert not details["normBoundOk"]
+    assert max(row["laurentNorm"] for row in details["windows"]) > 8 > details["supUpper"]
 
 
 def test_verify_window_over_the_cap_is_domain_error(selfadj_file, capsys, monkeypatch):

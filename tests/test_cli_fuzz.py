@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import symtoep
-from symtoep import cli
+from symtoep import ComplexRational, cli
 
 CAP = 2 ** 10
 MODULES = [importlib.import_module(f"symtoep.{info.name}")
@@ -222,9 +222,28 @@ def fuzz_dir(tmp_path_factory):
 @given(case=argvs())
 def test_cli_exit_codes_hold_under_fuzz(case, fuzz_dir):
     argv, files = case
-    code, _, err = _run(argv, files, fuzz_dir)
+    code, out, err = _run(argv, files, fuzz_dir)
     assert code in (0, 1, 2, 3), (argv, files, err)
     assert "Traceback" not in err and "internal error" not in err, (argv, files, err)
+    if code < 2:
+        _check_report(argv, out)
+
+
+def _no_constant(name):
+    raise AssertionError(f"report holds the non-JSON number {name}")
+
+
+def _check_report(argv, out):
+    """A report is strict JSON, or `row;col;re;im` CSV of exact rationals
+    from `matrix` in its default format."""
+    if argv[0] == "matrix" and "json" not in argv:
+        header, *rows = out.splitlines()
+        assert header == "row;col;re;im", out
+        for row in rows:
+            i, j, re, im = row.split(";")
+            assert int(i) >= 0 and int(j) >= 0 and ComplexRational.from_strings(re, im), row
+    else:
+        json.loads(out, parse_constant=_no_constant)
 
 
 def _identity_tuple(d):
@@ -254,6 +273,20 @@ def _identity_tuple(d):
     # z1^(10^30) overflows the power table: no NaN sampledSup may pass
     (["verify", "--suite", "lift", "--symbol", "phi.json", "--maxtop", "3", "--grid", "8"],
      {"phi.json": {"d": 2, "terms": [{"m": [10 ** 30, 0], "re": "1", "im": "0"}]}}, 3),
+    # a finite exact coefficient beyond double range
+    (["verify", "--suite", "eta", "--symbol", "phi.json", "--maxtop", "2"],
+     {"phi.json": {"d": 2, "terms": [{"m": [1, 0], "re": "1e400", "im": "0"}]}}, 3),
+    (["verify", "--suite", "lift", "--symbol", "phi.json", "--maxtop", "3", "--grid", "8"],
+     {"phi.json": {"d": 2, "terms": [{"m": [1, 0], "re": "1e400", "im": "0"}]}}, 3),
+    # a coefficient in double range whose modulus is not
+    (["verify", "--suite", "lift", "--symbol", "phi.json", "--maxtop", "3", "--grid", "8"],
+     {"phi.json": {"d": 2, "terms": [{"m": [1, 0], "re": "1.5e308", "im": "1.5e308"}]}}, 3),
+    # A^*A overflows in the norm estimate: no NaN norm may pass
+    (["verify", "--suite", "decay", "--symbol", "phi.json", "--maxtop", "3"],
+     {"phi.json": {"d": 2, "terms": [{"m": [1, 0], "re": "1e300", "im": "0"},
+                                     {"m": [1, -1], "re": "1e300", "im": "0"}]}}, 3),
+    # the boundary relation defect overflows: no infinite margin may pass
+    (["gamma", "member", "--point", "1e308,1e308"], {}, 3),
 ])
 def test_fuzz_findings_exit_cleanly(argv, files, code, tmp_path):
     got, out, err = _run(argv, files, tmp_path)

@@ -7,6 +7,7 @@ import pytest
 
 from symtoep import (
     ComplexRational,
+    DomainError,
     MarginError,
     Toeplitz,
     analytic_window,
@@ -112,6 +113,15 @@ def test_norm_estimate_equals_the_reference_loop_bit_for_bit(n):
         assert norm_estimate(a, iterations, seed) == _power_iteration(a, iterations, seed)
 
 
+@pytest.mark.parametrize("entry", [1e200, 1e100], ids=["gram", "iterate"])
+def test_norm_estimate_that_overflows_is_domain_error(entry):
+    # at 1e200 A^*A overflows; at 1e100 it does not, but the iterate's
+    # squared length does, which used to end the iteration at 0.0
+    with pytest.raises(DomainError, match="overflows double precision"):
+        norm_estimate(np.full((2, 2), entry))
+    assert norm_estimate(np.full((2, 2), 1e60)) == 2e60
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_lift_verify_passes_for_symbols(d):
     phi = elementary(d, 1) + elementary(d, d).conjugate()
@@ -143,6 +153,17 @@ def test_lift_dense_cap_counts_the_largest_window_first(monkeypatch):
     monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", entries - 1)
     with pytest.raises(MarginError, match=f"{entries} entries.*dense cap"):
         lift_verify(phi, windows)
+
+
+def test_lift_norm_bound_slack_is_relative():
+    # |10^12 z1 z2| = 10^12, and its norms round above that by more than tol
+    # but not by more than tol * 10^12
+    phi = elementary(2, 2).scaled(10 ** 12)
+    windows = [enumerate_window(2, t, -t) for t in (2, 3)]
+    details = lift_verify(phi, windows, grid_size=8).details
+    norms = [row[key] for row in details["windows"] for key in ("toeplitzNorm", "laurentNorm")]
+    assert details["supUpper"] == 10 ** 12 and max(norms) > 10 ** 12 + 1e-9
+    assert details["normBoundOk"]
 
 
 def test_lift_report_serializes():
