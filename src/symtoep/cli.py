@@ -118,22 +118,25 @@ def _parse_point(text: str) -> tuple:
 _SHIFT_RE = re.compile(r"shiftY(\d+)")
 
 
+def _shift(d: int, j: int) -> ShiftY:
+    if not 1 <= j <= d - 1:
+        raise _InputError(f"shift index {j} out of range 1..{d - 1} for d={d}")
+    return ShiftY(d, j)
+
+
 def _parse_operator(text: str, d: int) -> OperatorSpec:
     match = _SHIFT_RE.fullmatch(text)
     if match is None:
         raise _InputError(f"unknown operator {text!r}; expected shiftY<j>")
-    j = int(match.group(1))
-    if not 1 <= j <= d - 1:
-        raise _InputError(f"shift index {j} out of range 1..{d - 1} for d={d}")
-    return ShiftY(d, j)
+    return _shift(d, int(match.group(1)))
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 
 
-def _witness_dicts(matrix: MatrixWindow, limit: int = 5) -> list:
-    return [witness_dict(q, p, v) for q, p, v in matrix.nonzero_witnesses(limit)]
+def _witness_dicts(matrix: MatrixWindow) -> list:
+    return [witness_dict(q, p, v) for q, p, v in matrix.nonzero_witnesses()]
 
 
 def _report_text(report: dict) -> str:
@@ -198,7 +201,7 @@ def _cmd_matrix(args) -> int:
     if op_class is ShiftY:
         if args.j is None:
             raise _InputError("--kind shiftY requires --j")
-        op: OperatorSpec = ShiftY(args.d, args.j)
+        op: OperatorSpec = _shift(args.d, args.j)
     else:
         if args.symbol is None:
             raise _InputError(f"--kind {args.kind} requires --symbol")

@@ -21,7 +21,6 @@ from .operators import (
     _distinguished,
     _require_dense,
     assemble,
-    bh_residual_matrix,
     bh_residuals,
     norm_estimate,
     pass_fail,
@@ -110,10 +109,9 @@ def commutator_decay(T: OperatorSpec, i: int, n_max: int, window: Window,
 
     The conjugated entry at (q, p) is the exact commutator entry at
     (q + n, p + n), read off the commutator assembled on the shifted
-    window.  It passes when step n_max is exactly zero; its details also
-    say whether the exact i-th Brown-Halmos residual is zero.  A window
-    whose dense matrix is over MAX_DENSE_ENTRIES raises MarginError
-    before any assembly.
+    window.  It passes when step n_max is exactly zero; bh_residuals gives
+    the Brown-Halmos verdict for T.  A window whose dense matrix is over
+    MAX_DENSE_ENTRIES raises MarginError before any assembly.
     """
     d = T.d
     if not 1 <= i <= d - 1:
@@ -133,7 +131,6 @@ def commutator_decay(T: OperatorSpec, i: int, n_max: int, window: Window,
         "partner": f"s_{i}",
         "norms": norms,
         "finalExactZero": final_zero,
-        "bhResidualZero": bh_residual_matrix(T, i, window).is_zero(),
     }, [], norms)
 
 

@@ -11,9 +11,9 @@ permutations of q.  Toeplitz, Laurent, Hankel and dual-Toeplitz kinds
 share this formula and differ only in their row/column index sets.
 
 Each operator kind defines only the exact, finitely supported image of
-a basis vector, cached by OperatorSpec as ``column``.  Every composed
-column (``apply``, sums, commutators, product defects) adds its terms'
-signed images into one dict in place, and all d Brown-Halmos residual
+a basis vector, cached by OperatorSpec as ``column``.  ``apply`` and the
+one composed kind behind sums, commutators and product defects add their
+terms' signed images into one dict in place, and all d Brown-Halmos residual
 columns at p come from one walk over T's diagonal-step column and one
 shared step table; no truncated matrix product decides exactness.
 """
@@ -318,57 +318,51 @@ class FiniteRank(OperatorSpec):
         return f"FiniteRank(d={self.d}, terms={terms})"
 
 
-class OpSum(OperatorSpec):
+class _Composed(OperatorSpec):
+    """Signed sum of products: its column at p sums sign * outer(inner e_p) over
+    its (sign, outer, inner) terms, where an inner None stands for outer alone."""
+
+    def __init__(self, terms):
+        self._terms = tuple(terms)
+        self.d = self._terms[0][1].d
+
+    def accepts_row(self, q: Partition) -> bool:
+        return all(outer.accepts_row(q) for _, outer, _ in self._terms)
+
+    def accepts_col(self, p: Partition) -> bool:
+        return all((inner or outer).accepts_col(p) for _, outer, inner in self._terms)
+
+    def _image(self, p: Partition) -> dict:
+        acc: dict = {}
+        for sign, outer, inner in self._terms:
+            _accumulate(acc, outer, {p: ONE} if inner is None else inner.column(p), sign)
+        return _pruned(acc)
+
+
+class OpSum(_Composed):
     """Sum of operator specs sharing d."""
 
     def __init__(self, ops):
         ops = tuple(ops)
         if not ops:
             raise DomainError("empty operator sum")
-        self.d = ops[0].d
-        if any(op.d != self.d for op in ops):
+        if any(op.d != ops[0].d for op in ops):
             raise DomainError("operator sum dimension mismatch")
+        super().__init__((1, op, None) for op in ops)
         self.ops = ops
-
-    def accepts_row(self, q: Partition) -> bool:
-        return all(op.accepts_row(q) for op in self.ops)
-
-    def accepts_col(self, p: Partition) -> bool:
-        return all(op.accepts_col(p) for op in self.ops)
-
-    def _image(self, p: Partition) -> dict:
-        acc: dict = {}
-        e_p = {p: ONE}
-        for op in self.ops:
-            _accumulate(acc, op, e_p, 1)
-        return _pruned(acc)
 
     def __repr__(self):
         return f"OpSum({list(self.ops)!r})"
 
 
-class Commutator(OperatorSpec):
+class Commutator(_Composed):
     """[A, B] = AB - BA, composed from the exact column maps of A and B."""
 
     def __init__(self, a: OperatorSpec, b: OperatorSpec):
         if a.d != b.d:
             raise DomainError("commutator dimension mismatch")
-        self.d = a.d
-        self.a = a
-        self.b = b
-
-    def accepts_row(self, q: Partition) -> bool:
-        return self.a.accepts_row(q) and self.b.accepts_row(q)
-
-    def accepts_col(self, p: Partition) -> bool:
-        return self.a.accepts_col(p) and self.b.accepts_col(p)
-
-    def _image(self, p: Partition) -> dict:
-        a, b = self.a, self.b
-        acc: dict = {}
-        _accumulate(acc, a, b.column(p), 1)
-        _accumulate(acc, b, a.column(p), -1)
-        return _pruned(acc)
+        super().__init__(((1, a, b), (-1, b, a)))
+        self.a, self.b = a, b
 
 
 # -- assembled finite matrices ----------------------------------------------
@@ -581,31 +575,25 @@ def bh_residuals(T: OperatorSpec, window: Window) -> list[MatrixWindow]:
     characterize Toeplitz operators on an analytic window and dual
     Toeplitz operators on a non-analytic one; the returned list holds the
     coordinate relations i = 1..d-1 followed by the top-degree relation.
+    A residual's rows widen to its columns' support when it vanishes on the
+    window alone, so that a thin window keeps the witness of a non-Toeplitz T.
     """
     if window.d != T.d:
         raise DomainError("window dimension does not match operator")
     if len({p.is_analytic for p in window}) > 1:
         raise DomainError("Brown-Halmos residuals need a window on one side of the model")
     shared = _workspace(range(1, T.d + 1))
-    return [bh_residual_matrix(T, i, window, shared) for i in range(1, T.d + 1)]
-
-
-def bh_residual_matrix(T: OperatorSpec, i: int, window: Window, _shared=None) -> MatrixWindow:
-    """The i-th residual matrix of T on the window (exact).
-
-    Its rows widen to the columns' support when it vanishes on the window
-    alone, so that a thin window keeps the witness of a non-Toeplitz T.
-    ``_shared`` is as in bh_residual_column; by default only i is wanted.
-    """
-    shared = _shared or _workspace((i,))
-    columns = {p: bh_residual_column(T, i, p, shared) for p in window}
-    m = matrix_from_columns(columns, window, window)
-    if m.is_zero() and any(columns.values()):
-        members = set(window).union(*columns.values())
-        rows = Window(window.d, max(q[0] for q in members), min(q[-1] for q in members),
-                      members)
-        m = matrix_from_columns(columns, rows, window)
-    return m
+    mats = []
+    for i in range(1, T.d + 1):
+        columns = {p: bh_residual_column(T, i, p, shared) for p in window}
+        m = matrix_from_columns(columns, window, window)
+        if m.is_zero() and any(columns.values()):
+            members = set(window).union(*columns.values())
+            rows = Window(window.d, max(q[0] for q in members), min(q[-1] for q in members),
+                          members)
+            m = matrix_from_columns(columns, rows, window)
+        mats.append(m)
+    return mats
 
 
 # -- symbol recovery ---------------------------------------------------------
@@ -684,23 +672,14 @@ def product_defect(phi: Symbol, psi: Symbol, window: Window) -> MatrixWindow:
             f"window maxTop {window.max_top} below combined height "
             f"{phi.height() + psi.height()}"
         )
-    t_phi = Toeplitz(phi)
-    t_psi = Toeplitz(psi)
-    t_prod = Toeplitz(multiply(phi, psi))
-    h_psi = Hankel(psi)
     h_phibar = Hankel(phi.conjugate())
-
     # H_{conj phi}^* with rows on the window: the transposed, conjugated columns
     h_phibar_adj = FiniteRank(phi.d, ((q, r, v.conjugate()) for q in window
                                       for r, v in h_phibar.column(q).items()))
-    columns = {}
-    for p in window:
-        col: dict = {}
-        _accumulate(col, t_phi, t_psi.column(p), 1)
-        _accumulate(col, t_prod, {p: ONE}, -1)
-        _accumulate(col, h_phibar_adj, h_psi.column(p), 1)
-        columns[p] = _pruned(col)
-    return matrix_from_columns(columns, window, window)
+    defect = _Composed(((1, Toeplitz(phi), Toeplitz(psi)),
+                        (-1, Toeplitz(multiply(phi, psi)), None),
+                        (1, h_phibar_adj, Hankel(psi))))
+    return assemble(defect, window, window)
 
 
 # -- analyticity classification ----------------------------------------------
@@ -833,9 +812,9 @@ def lift_verify(phi: Symbol, windows, seed: int = 42,
     not exceed the windowed Laurent norm (floating tolerance).  Both norm
     sequences are nondecreasing over increasing windows, and every norm is
     at most sup |phi|, so at most supUpper, the upper bound from the one
-    sampling pass (Symbol.sup_norm_sampled), within tol * max(1, supUpper).
-    A window whose dense matrix is over MAX_DENSE_ENTRIES raises
-    MarginError before any sampling.
+    sampling pass (Symbol.sup_norm_sampled).  All three comparisons allow the
+    one slack tol * max(1, supUpper).  A window whose dense matrix is over
+    MAX_DENSE_ENTRIES raises MarginError before any sampling.
     """
     windows = list(windows)
     _require_dense(max((len(w) for w in windows), default=0), "the largest lift window")
@@ -860,11 +839,12 @@ def lift_verify(phi: Symbol, windows, seed: int = 42,
                      "blockOk": block == tm.keyed_entries()})
     t_norms = [r["toeplitzNorm"] for r in rows]
     l_norms = [r["laurentNorm"] for r in rows]
-    chain_ok = all(t <= lo + tol for t, lo in zip(t_norms, l_norms))
-    monotone_ok = all(a <= b + tol for norms in (t_norms, l_norms)
+    # one relative slack: norms of size s round apart by a few ulps of s
+    slack = tol * max(1.0, sup_upper)
+    chain_ok = all(t <= lo + slack for t, lo in zip(t_norms, l_norms))
+    monotone_ok = all(a <= b + slack for norms in (t_norms, l_norms)
                       for a, b in zip(norms, norms[1:]))
-    # relative slack: the norms of a unimodular symbol round to just above 1
-    norm_bound_ok = all(x <= sup_upper + tol * max(1.0, sup_upper) for x in t_norms + l_norms)
+    norm_bound_ok = all(x <= sup_upper + slack for x in t_norms + l_norms)
     passed = chain_ok and monotone_ok and norm_bound_ok and all(r["blockOk"] for r in rows)
     return Report(passed, {
         "check": "laurent-lift",

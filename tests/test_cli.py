@@ -174,12 +174,14 @@ def test_verify_missing_inputs(capsys):
     code, _, err = run_main(
         ["verify", "--suite", "brown-halmos", "--operator", "shiftY1"], capsys)
     assert code == 2
-    # Y_d is not one of the shifts Y_1..Y_{d-1}
+    # Y_d is not one of the shifts Y_1..Y_{d-1}, in `verify` as in `matrix`
     code, _, err = run_main(
         ["verify", "--suite", "brown-halmos", "--operator", "shiftY2",
          "--d", "2"], capsys)
     assert code == 2
-    assert "shift index" in err
+    assert "shift index 2 out of range" in err
+    assert run_main(["matrix", "--kind", "shiftY", "--j", "2", "--d", "2", "--maxtop", "3"],
+                    capsys) == (2, "", err)
     # a symbol and an operator together are rejected before any file is read
     code, out, err = run_main(
         ["verify", "--suite", "brown-halmos", "--symbol", "missing.json",
@@ -476,6 +478,19 @@ def test_verify_decay_passes_seed(selfadj_file, capsys, monkeypatch):
     assert code == 0
     assert seen == [7]
     assert json.loads(out)["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize("source", [_SYMBOL_D2, _SHIFT], ids=["phi", "shiftY1"])
+def test_verify_decay_builds_no_brown_halmos_residual(source, capsys, monkeypatch):
+    import symtoep.operators as operators
+
+    def no_residual(*args):
+        raise AssertionError("decay built a Brown-Halmos residual column")
+
+    monkeypatch.setattr(operators, "bh_residual_column", no_residual)
+    code, out, err = run_main(["verify", "--suite", "decay"] + source, capsys)
+    assert code == (0 if source is _SYMBOL_D2 else 1), err
+    assert sorted(json.loads(out)["details"]) == ["check", "finalExactZero", "norms", "partner"]
 
 
 def test_gamma_member_boundary_point(capsys):

@@ -287,6 +287,10 @@ def _identity_tuple(d):
                                      {"m": [1, -1], "re": "1e300", "im": "0"}]}}, 3),
     # the boundary relation defect overflows: no infinite margin may pass
     (["gamma", "member", "--point", "1e308,1e308"], {}, 3),
+    # a shift index out of range is bad input, as it is for `verify --operator`
+    (["matrix", "--kind", "shiftY", "--j", "2", "--d", "2", "--maxtop", "3"], {}, 2),
+    (["matrix", "--kind", "shiftY", "--j", "0", "--d", "2", "--maxtop", "3"], {}, 2),
+    (["matrix", "--kind", "shiftY", "--j", "1", "--d", "1", "--maxtop", "3"], {}, 2),
 ])
 def test_fuzz_findings_exit_cleanly(argv, files, code, tmp_path):
     got, out, err = _run(argv, files, tmp_path)

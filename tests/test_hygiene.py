@@ -1,6 +1,7 @@
-"""Static checks on the source tree: no unused import, no unread private name.
+"""Static checks on the source tree: no unused import, no unread private name,
+no default of a private function that no call sets.
 
-Both read the modules with `ast` and import nothing.  Re-exports in
+All three read the modules with `ast` and import nothing.  Re-exports in
 `symtoep/__init__.py` and `from __future__` imports are not uses a scan can
 see, so they are skipped.
 """
@@ -71,3 +72,37 @@ def test_every_private_module_name_in_src_is_read():
             unread += [f"{path.name}:{node.lineno} {name}" for name in names
                        if name.startswith("_") and not name.startswith("__") and name not in read]
     assert unread == []
+
+
+def _passes(call: ast.Call, name: str, arg: str, index) -> bool:
+    """Whether the call is to `name` and sets its parameter `arg`, by keyword,
+    by position `index` (None for keyword-only) or through * or ** unpacking."""
+    func = call.func
+    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != name:
+        return False
+    if any(k.arg in (arg, None) for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_keyword_default_of_a_private_function_in_src_is_passed():
+    """A default that no call in src overrides is a knob that nothing sets."""
+    trees = {path: _tree(path) for path in SOURCES}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unset = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(a, i) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(a, None) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            unset += [f"{path.name}:{node.lineno} {node.name}({a.arg})" for a, i in defaulted
+                      if not any(_passes(call, node.name, a.arg, i) for call in calls)]
+    assert unset == []

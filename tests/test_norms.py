@@ -156,14 +156,19 @@ def test_lift_dense_cap_counts_the_largest_window_first(monkeypatch):
 
 
 def test_lift_norm_bound_slack_is_relative():
-    # |10^12 z1 z2| = 10^12, and its norms round above that by more than tol
-    # but not by more than tol * 10^12
-    phi = elementary(2, 2).scaled(10 ** 12)
+    # |scale z1 z2| = scale, and its norms round around that by more than tol
+    # but not by more than tol * scale: at 10^12 the Toeplitz norms fall
+    # from just above scale to just below it, at 10^15 a Toeplitz norm
+    # rounds above its Laurent norm.  These are the windows of `verify --suite lift`.
     windows = [enumerate_window(2, t, -t) for t in (2, 3)]
-    details = lift_verify(phi, windows, grid_size=8).details
-    norms = [row[key] for row in details["windows"] for key in ("toeplitzNorm", "laurentNorm")]
-    assert details["supUpper"] == 10 ** 12 and max(norms) > 10 ** 12 + 1e-9
-    assert details["normBoundOk"]
+    for scale in (10 ** 12, 10 ** 15):
+        report = lift_verify(elementary(2, 2).scaled(scale), windows, grid_size=8)
+        details = report.details
+        norms = [row[key] for row in details["windows"]
+                 for key in ("toeplitzNorm", "laurentNorm")]
+        assert details["supUpper"] == scale and max(norms) > scale + 1e-9, scale
+        assert details["chainOk"] and details["monotoneOk"] and details["normBoundOk"], scale
+        assert report.passed
 
 
 def test_lift_report_serializes():

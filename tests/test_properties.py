@@ -149,7 +149,7 @@ def test_column_route_equals_entry_route_d4(phi, analytic, data):
 def test_composed_columns_hold_no_zero_entries(phi, analytic, data):
     """Each composed column drops the entries its terms cancel.
 
-    bh_residual_matrix widens its rows only when some column is nonempty,
+    bh_residuals widens a residual's rows only when some column is nonempty,
     so a cancelled entry kept as a zero would widen a vanishing residual.
     """
     d = phi.d
