@@ -15,7 +15,10 @@ a basis vector, cached by OperatorSpec as ``column``.  ``apply`` and the
 one composed kind behind sums, commutators and product defects add their
 terms' signed images into one dict in place, and all d Brown-Halmos residual
 columns at p come from one walk over T's diagonal-step column and one
-shared step table; no truncated matrix product decides exactness.
+shared step table, whose steps from each row are memoized for the process;
+no truncated matrix product decides exactness.  A symbol column adds each
+p + x that is already strictly decreasing as it stands, drops one with an
+adjacent tie, and antisymmetrizes only the rest.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 import numpy as np
 
@@ -141,11 +144,11 @@ class OperatorSpec:
         return _pruned(acc)
 
     def _check_row(self, q: Partition):
-        if not self.accepts_row(q):
+        if len(q) != self.d or not self.accepts_row(q):
             raise DomainError(f"{type(self).__name__} row index out of domain: {tuple(q)}")
 
     def _check_col(self, p: Partition):
-        if not self.accepts_col(p):
+        if len(p) != self.d or not self.accepts_col(p):
             raise DomainError(f"{type(self).__name__} column index out of domain: {tuple(p)}")
 
 
@@ -163,8 +166,6 @@ class _SymbolOperator(OperatorSpec):
     def entry(self, q, p) -> ComplexRational:
         q = _as_partition(q)
         p = _as_partition(p)
-        if q.d != self.d or p.d != self.d:
-            raise DomainError("index dimension mismatch")
         self._check_row(q)
         self._check_col(p)
         coeffs = self.symbol.coeffs
@@ -180,8 +181,12 @@ class _SymbolOperator(OperatorSpec):
         keep = self._row_analytic
         acc: dict = {}
         for point, c in self.symbol.lattice_terms():
-            sign, part = antisymmetrize(map(add, p, point))
-            if not sign or keep is not None and part.is_analytic != keep:
+            t = tuple(map(add, p, point))
+            gap = min(map(sub, t, t[1:]))  # > 0: t is strict as it stands; 0: a tie
+            if not gap:
+                continue
+            sign, part = (1, Partition._unsafe(t)) if gap > 0 else antisymmetrize(t)
+            if not sign or keep is not None and (part[-1] >= 0) != keep:
                 continue
             w = c if sign > 0 else -c
             cur = acc.get(part)
@@ -256,14 +261,19 @@ def _step_table(d: int, sign: int) -> tuple:
                  for k in range(d + 1))
 
 
-def _steps(p: Partition, sign: int, edge, ones) -> list:
-    """(k, p + sign*e) over table steps with k in ones, keeping p strict and off edge."""
+@lru_cache(maxsize=None)
+def _steps(p: Partition, sign: int, edge, ones) -> tuple:
+    """(k, p + sign*e) over table steps with k in ones, keeping p strict and off edge.
+
+    Memoized for the process: the batteries check many operators over the
+    same rows, and one entry per (row, direction, side, ones) is small.
+    """
     blocked = (p[-1] == edge) << (len(p) - 1)
     for k in range(len(p) - 1):
         if p[k] - p[k + 1] == 1:
             blocked |= 1 << k
-    return [(k, Partition._unsafe(map(add, p, s))) for k in ones
-            for s, mask in _step_table(len(p), sign)[k] if not blocked & mask]
+    return tuple((k, Partition._unsafe(map(add, p, s))) for k in ones
+                 for s, mask in _step_table(len(p), sign)[k] if not blocked & mask)
 
 
 class _CoordinateStep(OperatorSpec):
@@ -494,9 +504,9 @@ def _distinguished(d: int, analytic: bool) -> tuple[list, list]:
     return (up, down) if analytic else (down, up)
 
 
-def _workspace(wanted) -> tuple:
-    """(wanted i, row -> adjoint steps, p -> columns) of one window."""
-    return frozenset(wanted), {}, {}
+def _workspace(d: int, wanted) -> tuple:
+    """(wanted i, their partners d - i, p -> columns) of one window."""
+    return frozenset(wanted), frozenset(d - k for k in wanted), {}
 
 
 def bh_residual_column(T: OperatorSpec, i: int, p, _shared=None) -> dict:
@@ -510,34 +520,34 @@ def bh_residual_column(T: OperatorSpec, i: int, p, _shared=None) -> dict:
     (sigma = 1 on the analytic side, else -1), so all residuals at p come
     from one walk over T's column at p + sigma*1, each value added at its
     row's adjoint steps into residual |e|, and from T's columns at p's steps
-    with |e| < d, each subtracted from residual d - |e|.  A _workspace
-    ``_shared`` makes all its wanted residuals at p on the first call there.
+    with |e| < d, each subtracted from residual d - |e|.  Every row of that
+    walk is checked to lie on p's side; the steps of a row are memoized for
+    the process (_steps).  A _workspace ``_shared`` makes all its wanted
+    residuals at p on the first call there.
     """
     d = T.d
     if not 1 <= i <= d:
         raise DomainError(f"residual index must satisfy 1 <= i <= d, got {i}")
     p = _as_partition(p)
-    wanted, memo, made = _shared or _workspace((i,))
+    wanted, partners, made = _shared or _workspace(d, (i,))
     cols = made.get(p)
     if cols is None:
-        sigma = 1 if p.is_analytic else -1
-        cols = {k: {} for k in wanted}
+        analytic = p[-1] >= 0
+        sigma, edge = (1, 0) if analytic else (-1, -1)
+        accs = [{} for _ in range(d + 1)]  # accs[k] accumulates residual k
         for q, v in T.column(shift(p, sigma)).items():
-            if q.is_analytic != p.is_analytic:
+            if (q[-1] >= 0) != analytic:
                 raise DomainError(f"residual row {tuple(q)} is off the side of {tuple(p)}")
-            targets = memo.get(q)
-            if targets is None:
-                targets = memo[q] = _steps(q, -sigma, 0 if sigma > 0 else -1, wanted)
-            for k, r in targets:
-                acc = cols[k]
+            for k, r in _steps(q, -sigma, edge, wanted):
+                acc = accs[k]
                 cur = acc.get(r)
                 acc[r] = v if cur is None else cur + v
-        for k, t in _steps(p, sigma, None, {d - k for k in wanted}):
-            acc = cols[d - k]
+        for k, t in _steps(p, sigma, None, partners):
+            acc = accs[d - k]
             for q, c in T.column(t).items():
                 cur = acc.get(q)
                 acc[q] = -c if cur is None else cur - c
-        cols = made[p] = {k: _pruned(acc) for k, acc in cols.items()}
+        cols = made[p] = {k: _pruned(accs[k]) for k in wanted}
     return cols[i]
 
 
@@ -582,7 +592,7 @@ def bh_residuals(T: OperatorSpec, window: Window) -> list[MatrixWindow]:
         raise DomainError("window dimension does not match operator")
     if len({p.is_analytic for p in window}) > 1:
         raise DomainError("Brown-Halmos residuals need a window on one side of the model")
-    shared = _workspace(range(1, T.d + 1))
+    shared = _workspace(T.d, range(1, T.d + 1))
     mats = []
     for i in range(1, T.d + 1):
         columns = {p: bh_residual_column(T, i, p, shared) for p in window}

@@ -109,14 +109,17 @@ def test_harness_oracles_accept_library_results(workload, prefix, tmp_path, monk
     assert check.verify(check.call()) is None
 
 
-def test_recovery_workload_passes_its_own_oracles(tmp_path, monkeypatch):
-    """Every check of the harness's recovery workload, the non-Toeplitz
-    rejections among them, passes the harness's own oracle."""
+@pytest.mark.parametrize("workload,count", [("recovery", 72), ("bh_battery", 142)],
+                         ids=["recovery", "bh_battery"])
+def test_workload_passes_its_own_oracles(workload, count, tmp_path, monkeypatch):
+    """Every check of the harness's recovery and bh-battery workloads passes
+    the harness's own oracle: the non-Toeplitz rejections, the zero Toeplitz
+    and dual residuals, and the ShiftY witnesses among them."""
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
-    checks = workloads.recovery(1, str(tmp_path))
-    assert len(checks) == 72
+    checks = getattr(workloads, workload)(1, str(tmp_path))
+    assert len(checks) == count
     assert {c.name: c.verify(c.call()) for c in checks} == {c.name: None for c in checks}
 
 

@@ -1,6 +1,7 @@
 """Brown-Halmos relations, analytic classification, and product defects."""
 
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from symtoep import (
     DomainError,
     DualToeplitz,
     FiniteRank,
+    Laurent,
     MarginError,
     OpSum,
     Partition,
@@ -25,7 +27,7 @@ from symtoep import (
     product_defect,
     unit,
 )
-from symtoep.operators import _CoordinateStep
+from symtoep.operators import _CoordinateStep, _steps
 from conftest import compose_columns, symbol_battery
 
 
@@ -161,3 +163,34 @@ def test_product_defect_margin_guard():
 def test_residuals_require_analytic_window():
     with pytest.raises(DomainError):
         bh_residuals(Toeplitz(unit(2)), enumerate_window(2, 1, -1))
+
+
+@pytest.mark.parametrize("power,window,message", [
+    (-2, analytic_window(2, 4), "residual row (0, -1) is off the side of (1, 0)"),
+    (2, dual_window(2, 2, -3), "residual row (1, 0) is off the side of (0, -1)"),
+])
+def test_residual_rows_off_the_side_raise(power, window, message):
+    """A Laurent column of p^power that leaves the window's side raises on
+    every call, also once the steps of the rows before it are memoized."""
+    p = elementary(2, 2) if power > 0 else elementary(2, 2).conjugate()
+    for _ in range(2):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            bh_residuals(Laurent(p * p), window)
+
+
+def test_memoized_steps_give_the_same_residuals_cold_and_warm():
+    window = analytic_window(3, 4)
+    battery = symbol_battery(3)
+    _steps.cache_clear()
+    cold = [bh_residuals(Toeplitz(phi), window) for phi in battery]
+    size = _steps.cache_info().currsize
+    assert size and _steps.cache_info().hits
+    warm = [bh_residuals(Toeplitz(phi), window) for phi in battery]
+    assert _steps.cache_info().currsize == size
+    for a, b in zip(cold, warm):
+        for x, y in zip(a, b):
+            assert x.rows == y.rows
+            assert x.entries == y.entries and list(x.entries) == list(y.entries)
+    row = window.members[-1]
+    steps = _steps(row, 1, None, frozenset({1, 2}))
+    assert isinstance(steps, tuple) and _steps(row, 1, None, frozenset({1, 2})) is steps

@@ -24,9 +24,11 @@ from symtoep import (
     OpSum,
     Partition,
     ShiftY,
+    Symbol,
     Toeplitz,
     analytic_window,
     assemble,
+    bh_residual_column,
     elementary,
     enumerate_window,
     shift,
@@ -293,6 +295,65 @@ def test_off_side_rows_raise_domain_error():
     for op, q, p in cases:
         with pytest.raises(DomainError, match="row index out of domain"):
             op.entry(q, p)
+
+
+def test_indices_of_another_dimension_raise_domain_error():
+    """A column, residual or entry at an index of the wrong length raises,
+    where truncating it would read a column or entry of some other index."""
+    op = Toeplitz(elementary(2, 1))
+    with pytest.raises(DomainError, match="column index out of domain: \\(3, 2, 1\\)"):
+        op.column((3, 2, 1))
+    with pytest.raises(DomainError, match="column index out of domain"):
+        bh_residual_column(op, 1, (3, 2, 1))
+    with pytest.raises(DomainError, match="row index out of domain: \\(3, 2, 1\\)"):
+        ShiftY(2, 1).entry((3, 2, 1), (1, 0))
+    with pytest.raises(DomainError, match="column index out of domain"):
+        ShiftY(3, 1).entry((3, 2, 1), (1, 0))
+    with pytest.raises(DomainError, match="row index out of domain"):
+        op.entry((2, 1, 0), (1, 0))
+
+
+# (kind, d, orbit rep of the symbol, column p, p + x for each lattice point x
+# in order, and the column: +1 for a strict t, nothing for a tie, -1 for one swap)
+_STRAIGHTENING = [
+    (Toeplitz, 2, (2, 0), (1, 0), [(3, 0), (1, 2)], {(3, 0): 1, (2, 1): -1}),
+    (Toeplitz, 2, (1, 0), (1, 0), [(2, 0), (1, 1)], {(2, 0): 1}),
+    (Toeplitz, 3, (2, 2, 0), (2, 1, 0), [(4, 3, 0), (4, 1, 2), (2, 3, 2)],
+     {(4, 3, 0): 1, (4, 2, 1): -1}),
+    (Toeplitz, 3, (1, 0, 0), (2, 1, 0), [(3, 1, 0), (2, 2, 0), (2, 1, 1)], {(3, 1, 0): 1}),
+    (DualToeplitz, 2, (0, -2), (0, -1), [(0, -3), (-2, -1)], {(0, -3): 1, (-1, -2): -1}),
+    (DualToeplitz, 2, (0, -1), (0, -1), [(0, -2), (-1, -1)], {(0, -2): 1}),
+    (DualToeplitz, 3, (0, -2, -2), (0, -1, -2), [(0, -3, -4), (-2, -1, -4), (-2, -3, -2)],
+     {(0, -3, -4): 1, (-1, -2, -4): -1}),
+]
+
+
+@pytest.mark.parametrize("kind,d,rep,p,points,want", _STRAIGHTENING, ids=[
+    "toeplitz-d2-swap", "toeplitz-d2-adjacent-tie", "toeplitz-d3-swap-and-far-tie",
+    "toeplitz-d3-adjacent-ties", "dual-d2-swap", "dual-d2-adjacent-tie",
+    "dual-d3-swap-and-far-tie"])
+def test_column_straightens_each_term_like_entry(kind, d, rep, p, points, want, monkeypatch):
+    """A strict p + x is a row as it stands, an adjacent tie vanishes, and only
+    a p + x that needs a reorder or has a non-adjacent tie is antisymmetrized."""
+    import symtoep.operators as operators
+
+    reached = []
+
+    def spy(t):
+        reached.append(tuple(t))
+        return antisymmetrize(t)
+
+    antisymmetrize = operators.antisymmetrize
+    monkeypatch.setattr(operators, "antisymmetrize", spy)
+    op = kind(Symbol(d, {rep: 1}))
+    assert [tuple(map(sum, zip(p, x))) for x, _ in op.symbol.lattice_terms()] == points
+    col = op.column(p)
+    assert col == {Partition(q): ComplexRational(v) for q, v in want.items()}
+    assert list(col) == list(want)
+    assert reached == [t for t in points if any(a < b for a, b in zip(t, t[1:]))]
+    for q in enumerate_window(d, 5, -5):
+        if op.accepts_row(q):
+            assert op.entry(q, p) == col.get(q, ComplexRational(0)), tuple(q)
 
 
 def test_finite_rank_and_sum():
