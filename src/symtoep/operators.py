@@ -16,9 +16,12 @@ one composed kind behind sums, commutators and product defects add their
 terms' signed images into one dict in place, and all d Brown-Halmos residual
 columns at p come from one walk over T's diagonal-step column and one
 shared step table, whose steps from each row are memoized for the process;
-no truncated matrix product decides exactness.  A symbol column adds each
-p + x that is already strictly decreasing as it stands, drops one with an
-adjacent tie, and antisymmetrizes only the rest.
+no truncated matrix product decides exactness.  Every kernel deletes an
+entry the moment it cancels, so no column holds a zero.  A symbol column
+reads the adjacent gaps of each p + x as p's gaps plus x's gap offsets,
+tabled per operator: it adds a strict p + x on its row side as it stands,
+drops an adjacent tie or an off-side strict term before building it, and
+antisymmetrizes only the rest.
 """
 from __future__ import annotations
 
@@ -51,48 +54,52 @@ def _as_partition(p) -> Partition:
 # -- exact sparse vectors (Partition -> ComplexRational) -------------------
 
 def _accumulate(acc: dict, op: "OperatorSpec", vec: dict, sign: int) -> None:
-    """Add sign * op(vec) into acc in place; cancelled entries stay, as zeros.
+    """Add sign * op(vec) into acc in place, deleting each entry that cancels.
 
-    The sign and the unit tests are made once per column of op, not per
-    entry: every value of a kind with ``_unit_columns`` is the shared ONE,
-    so its image only adds v at the column's keys, and a factor v that is
-    ONE adds or subtracts op's column with no multiply.
+    A zero coefficient of vec adds nothing, once its index is checked.  The
+    sign and the unit tests are made once per column of op, not per entry:
+    every value of a kind with ``_unit_columns`` is the shared ONE, so its
+    image adds +-v, negated once per index of vec, at the column's keys, and
+    a factor v that is ONE adds or subtracts op's column with no multiply.
     """
     get = acc.get
     column = op.column
     unit = op._unit_columns
     for p, v in vec.items():
         col = column(p)
+        if not v:
+            continue
         if unit:
-            if sign > 0:
-                for q in col:
-                    cur = get(q)
-                    acc[q] = v if cur is None else cur + v
-            else:
-                for q in col:
-                    cur = get(q)
-                    acc[q] = -v if cur is None else cur - v
-        elif v is ONE:
-            if sign > 0:
-                for q, c in col.items():
-                    cur = get(q)
-                    acc[q] = c if cur is None else cur + c
-            else:
-                for q, c in col.items():
-                    cur = get(q)
-                    acc[q] = -c if cur is None else cur - c
+            w = v if sign > 0 else -v
+            for q in col:
+                cur = get(q)
+                if cur is None:
+                    acc[q] = w
+                elif s := cur + w:
+                    acc[q] = s
+                else:
+                    del acc[q]
+        elif v is ONE and sign < 0:
+            for q, c in col.items():
+                cur = get(q)
+                if cur is None:
+                    acc[q] = -c
+                elif s := cur - c:
+                    acc[q] = s
+                else:
+                    del acc[q]
         else:
             if sign < 0:
                 v = -v
             for q, c in col.items():
-                w = c * v
+                w = c if v is ONE else c * v
                 cur = get(q)
-                acc[q] = w if cur is None else cur + w
-
-
-def _pruned(acc: dict) -> dict:
-    """The accumulated vector without its cancelled entries."""
-    return {k: v for k, v in acc.items() if v}
+                if cur is None:
+                    acc[q] = w
+                elif s := cur + w:
+                    acc[q] = s
+                else:
+                    del acc[q]
 
 
 # -- operator kinds ---------------------------------------------------------
@@ -141,7 +148,7 @@ class OperatorSpec:
         """Exact image of a sparse vector: the combination of its columns."""
         acc: dict = {}
         _accumulate(acc, self, vec, 1)
-        return _pruned(acc)
+        return acc
 
     def _check_row(self, q: Partition):
         if len(q) != self.d or not self.accepts_row(q):
@@ -177,21 +184,37 @@ class _SymbolOperator(OperatorSpec):
                 total = total + c if sign > 0 else total - c
         return total
 
+    # (x, its gap offsets x_j - x_{j+1}, x[-1], c) per lattice term x, built by the first column
+    _gap_terms = None
+
     def _image(self, p: Partition) -> dict:
         keep = self._row_analytic
+        terms = self._gap_terms
+        if terms is None:
+            terms = self._gap_terms = [(x, tuple(map(sub, x, x[1:])), x[-1], c)
+                                       for x, c in self.symbol.lattice_terms()]
+        gaps, low = tuple(map(sub, p, p[1:])), p[-1]
         acc: dict = {}
-        for point, c in self.symbol.lattice_terms():
-            t = tuple(map(add, p, point))
-            gap = min(map(sub, t, t[1:]))  # > 0: t is strict as it stands; 0: a tie
-            if not gap:
+        for x, offsets, last, c in terms:
+            gap = min(map(add, gaps, offsets))  # > 0: p + x is strict as it stands; 0: a tie
+            if gap > 0:
+                if keep is not None and (low + last >= 0) != keep:
+                    continue
+                sign, part = 1, Partition._unsafe(map(add, p, x))
+            elif gap:
+                sign, part = antisymmetrize(tuple(map(add, p, x)))
+                if not sign or keep is not None and (part[-1] >= 0) != keep:
+                    continue
+            else:
                 continue
-            sign, part = (1, Partition._unsafe(t)) if gap > 0 else antisymmetrize(t)
-            if not sign or keep is not None and (part[-1] >= 0) != keep:
-                continue
-            w = c if sign > 0 else -c
             cur = acc.get(part)
-            acc[part] = w if cur is None else cur + w
-        return _pruned(acc)
+            if cur is None:
+                acc[part] = c if sign > 0 else -c
+            elif s := (cur + c if sign > 0 else cur - c):
+                acc[part] = s
+            else:
+                del acc[part]
+        return acc
 
     def __repr__(self):
         return f"{type(self).__name__}({self.symbol!r})"
@@ -346,7 +369,7 @@ class _Composed(OperatorSpec):
         acc: dict = {}
         for sign, outer, inner in self._terms:
             _accumulate(acc, outer, {p: ONE} if inner is None else inner.column(p), sign)
-        return _pruned(acc)
+        return acc
 
 
 class OpSum(_Composed):
@@ -541,13 +564,23 @@ def bh_residual_column(T: OperatorSpec, i: int, p, _shared=None) -> dict:
             for k, r in _steps(q, -sigma, edge, wanted):
                 acc = accs[k]
                 cur = acc.get(r)
-                acc[r] = v if cur is None else cur + v
+                if cur is None:
+                    acc[r] = v
+                elif s := cur + v:
+                    acc[r] = s
+                else:
+                    del acc[r]
         for k, t in _steps(p, sigma, None, partners):
             acc = accs[d - k]
             for q, c in T.column(t).items():
                 cur = acc.get(q)
-                acc[q] = -c if cur is None else cur - c
-        cols = made[p] = {k: _pruned(accs[k]) for k in wanted}
+                if cur is None:
+                    acc[q] = -c
+                elif cur is c or cur == c:
+                    del acc[q]
+                else:  # an unequal difference is nonzero
+                    acc[q] = cur - c
+        cols = made[p] = {k: accs[k] for k in wanted}
     return cols[i]
 
 

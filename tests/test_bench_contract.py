@@ -109,12 +109,14 @@ def test_harness_oracles_accept_library_results(workload, prefix, tmp_path, monk
     assert check.verify(check.call()) is None
 
 
-@pytest.mark.parametrize("workload,count", [("recovery", 72), ("bh_battery", 142)],
-                         ids=["recovery", "bh_battery"])
+@pytest.mark.parametrize("workload,count", [
+    ("recovery", 72), ("bh_battery", 142), ("defect_rational", 66), ("cli_suites", 134),
+], ids=["recovery", "bh_battery", "defect_rational", "cli_suites"])
 def test_workload_passes_its_own_oracles(workload, count, tmp_path, monkeypatch):
-    """Every check of the harness's recovery and bh-battery workloads passes
-    the harness's own oracle: the non-Toeplitz rejections, the zero Toeplitz
-    and dual residuals, and the ShiftY witnesses among them."""
+    """Every check of four harness workloads passes the harness's own oracle:
+    the non-Toeplitz rejections, the zero Toeplitz and dual residuals and the
+    ShiftY witnesses among them, and every composed-column path (defect,
+    block, classify, decay, eta and lift)."""
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 

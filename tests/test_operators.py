@@ -356,6 +356,23 @@ def test_column_straightens_each_term_like_entry(kind, d, rep, p, points, want, 
             assert op.entry(q, p) == col.get(q, ComplexRational(0)), tuple(q)
 
 
+@pytest.mark.parametrize("kind,coeffs,p,want", [
+    # (1, 1, 0) and (0, 2, 0) land on (3, 2, 0) with signs +1 and -1
+    (Toeplitz, {(1, 1, 0): 1, (2, 0, 0): 1}, (2, 1, 0), {(4, 1, 0): 1}),
+    # (0, -1, -1) and (0, -2, 0) land on (0, -2, -3) with signs +1 and -1
+    (DualToeplitz, {(0, -1, -1): 1, (0, 0, -2): 1}, (0, -1, -2), {(0, -1, -4): 1}),
+], ids=["toeplitz", "dual"])
+def test_symbol_column_drops_terms_that_cancel_across_orbits(kind, coeffs, p, want):
+    """Two terms from different orbits that land on one row with opposite
+    signs leave no entry, not a zero."""
+    op = kind(Symbol(3, coeffs))
+    col = op.column(p)
+    assert col == {Partition(q): ComplexRational(v) for q, v in want.items()}
+    for q in enumerate_window(3, 6, -6):
+        if op.accepts_row(q):
+            assert op.entry(q, p) == col.get(q, ComplexRational(0)), tuple(q)
+
+
 def test_finite_rank_and_sum():
     e10 = Partition((1, 0))
     e20 = Partition((2, 0))

@@ -7,16 +7,16 @@ the non-analytic side (dual relations), so each residual property is
 checked on both.  The eta blocks and the finite-rank truncation are
 compared with the independent entry route, and so is the column kernel
 that every operator kind shares, and the closed-form coordinate
-multipliers with the symbol kernel.  Every composed column (apply, sums,
-commutators, residuals, product defects) drops the entries its terms
-cancel.  Symbol recovery inverts the Toeplitz entry map, and
-antisymmetrization signs are permutation parities.
+multipliers with the symbol kernel.  Every column that sums terms (a
+symbol column, apply, sums, commutators, residuals, product defects) holds
+no entry its terms cancel.  Symbol recovery inverts the Toeplitz entry
+map, and antisymmetrization signs are permutation parities.
 """
 
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symtoep import (
@@ -67,10 +67,10 @@ def symbols(draw, d=None):
     return Symbol(d, draw(st.dictionaries(rep, gaussian, min_size=1, max_size=4)))
 
 
-def _perturbed(phi, kind, window, data):
+def _perturbed(phi, kind, window, draw):
     """kind(phi) plus a random rank-one term indexed inside the window."""
     index = st.sampled_from(window.members)
-    bump = FiniteRank(phi.d, [(data.draw(index), data.draw(index), data.draw(gaussian))])
+    bump = FiniteRank(phi.d, [(draw(index), draw(index), draw(gaussian))])
     return OpSum([kind(phi), bump])
 
 
@@ -96,7 +96,7 @@ def _assert_column_route_equals_entry_route(phi, analytic, data):
 
     kind, window = _side(phi.d, analytic)
     # a rank-one perturbation on the same side makes the residuals nonzero
-    op = _perturbed(phi, kind, window, data)
+    op = _perturbed(phi, kind, window, data.draw)
     built = {}
 
     def spy(T, i, p, _shared=None):
@@ -144,25 +144,48 @@ def test_column_route_equals_entry_route_d4(phi, analytic, data):
     _assert_column_route_equals_entry_route(phi, analytic, data)
 
 
-@PROPERTY
-@given(phi=symbols(), analytic=st.booleans(), data=st.data())
-def test_composed_columns_hold_no_zero_entries(phi, analytic, data):
-    """Each composed column drops the entries its terms cancel.
+@st.composite
+def composed_cases(draw):
+    """(phi, analytic, kind(phi) perturbed, column index, vector to apply,
+    partner index) on one side of the model; a vector coefficient may be 0."""
+    phi, analytic = draw(symbols()), draw(st.booleans())
+    kind, window = _side(phi.d, analytic)
+    members = st.sampled_from(window.members)
+    op = _perturbed(phi, kind, window, draw)
+    p = draw(members)
+    keys = draw(st.lists(members, min_size=1, max_size=3, unique=True))
+    vec = {q: draw(coefficients | st.just(ComplexRational(0))) for q in keys}
+    return phi, analytic, op, p, vec, draw(st.integers(0, phi.d - 1))
 
-    bh_residuals widens a residual's rows only when some column is nonempty,
-    so a cancelled entry kept as a zero would widen a vanishing residual.
+
+# (1, 1, 0) and (0, 2, 0) meet at (3, 2, 0) with opposite signs from the column (2, 1, 0)
+_ACROSS_ORBITS = Symbol(3, {(1, 1, 0): 1, (2, 0, 0): 1})
+
+
+@PROPERTY
+@given(case=composed_cases())
+@example(case=(elementary(2, 1), True, Toeplitz(elementary(2, 1)), Partition((1, 0)),
+               {Partition((1, 0)): ComplexRational(0), Partition((2, 0)): ComplexRational(2)},
+               0))
+@example(case=(_ACROSS_ORBITS, True, Toeplitz(_ACROSS_ORBITS), Partition((2, 1, 0)),
+               {Partition((2, 1, 0)): ONE}, 0))
+def test_composed_columns_hold_no_zero_entries(case):
+    """Every column that sums terms deletes an entry the moment it cancels.
+
+    That holds for a bare symbol column, whose terms from different orbits
+    may meet with opposite signs, and for apply, sums, commutators and
+    residuals; a zero coefficient of the applied vector adds nothing.  The
+    explicit examples pin both cases.  bh_residuals widens a residual's rows
+    only when some column is nonempty, so a cancelled entry kept as a zero
+    would widen a vanishing residual.
     """
+    phi, analytic, op, p, vec, partner = case
     d = phi.d
-    kind, window = _side(d, analytic)
-    op = _perturbed(phi, kind, window, data)
-    p = data.draw(st.sampled_from(window.members))
-    keys = data.draw(st.lists(st.sampled_from(window.members), min_size=1, max_size=3,
-                              unique=True))
-    vec = {q: data.draw(coefficients) for q in keys}
+    kind, _ = _side(d, analytic)
     cancelled = OpSum([kind(phi), kind(phi.scaled(-1))])
-    partner = _distinguished(d, analytic)[0][data.draw(st.integers(0, d - 1))]
-    columns = [op.apply(vec), op.column(p), Commutator(op, partner).column(p),
-               Commutator(kind(phi), partner).column(p)]
+    partner = _distinguished(d, analytic)[0][partner]
+    columns = [kind(phi).column(p), op.apply(vec), op.column(p),
+               Commutator(op, partner).column(p), Commutator(kind(phi), partner).column(p)]
     columns += [bh_residual_column(op, i, p) for i in range(1, d + 1)]
     for col in columns:
         assert all(col.values()), col
@@ -237,7 +260,7 @@ def test_antisymmetrize_sign_is_the_sorting_permutation_parity(t):
 def test_eta_blocks_are_entries_at_shifted_indices(phi, perturb, data):
     window = analytic_window(phi.d, 3)
     # the rank-one term sits where the shifts j = 0..2 can reach it
-    op = _perturbed(phi, Toeplitz, analytic_window(phi.d, 5), data) if perturb \
+    op = _perturbed(phi, Toeplitz, analytic_window(phi.d, 5), data.draw) if perturb \
         else Toeplitz(phi)
     for j in range(3):
         for (a, b), block in eta_blocks(op, j, window).items():
@@ -251,7 +274,7 @@ def test_eta_blocks_are_entries_at_shifted_indices(phi, perturb, data):
 @given(phi=symbols(), perturb=st.booleans(), level=st.integers(1, 2), data=st.data())
 def test_finite_rank_truncation_is_the_entry_route_mask(phi, perturb, level, data):
     window = analytic_window(phi.d, 5)
-    op = _perturbed(phi, Toeplitz, window, data) if perturb else Toeplitz(phi)
+    op = _perturbed(phi, Toeplitz, window, data.draw) if perturb else Toeplitz(phi)
     support = truncation_support(phi.d, level)
     m = finite_rank_truncation(op, level, window)
     for q in window:
