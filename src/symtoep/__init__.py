@@ -28,7 +28,6 @@ from .gamma import (
     GammaTuple,
     check_gamma_isometry,
     check_gamma_unitary,
-    minimal_extension_verify,
     point_in_bgamma,
     point_in_gamma,
     s_toeplitz_solve,
@@ -70,7 +69,7 @@ from .partitions import (
     shift,
 )
 from .scalars import ComplexRational
-from .symbols import Symbol, combine, elementary, multiply, unit, zero_symbol
+from .symbols import Symbol, elementary, multiply, unit, zero_symbol
 
 __version__ = "0.1.0"
 
@@ -108,7 +107,6 @@ __all__ = [
     "check_gamma_isometry",
     "check_gamma_unitary",
     "classify_analytic",
-    "combine",
     "commutator_decay",
     "dual_bh_residual_column",
     "dual_bh_residuals",
@@ -120,7 +118,6 @@ __all__ = [
     "f_l_projection",
     "finite_rank_truncation",
     "lift_verify",
-    "minimal_extension_verify",
     "multiply",
     "norm_estimate",
     "orbit_permutations",

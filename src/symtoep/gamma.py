@@ -4,7 +4,9 @@ Everything here is double-precision numerics with explicit tolerances:
 membership goes through companion-matrix root finding, tuple checks
 through matrix norms, joint diagonalization by orthonormalized
 eigenvectors and SVD nullspaces, all on numpy's LAPACK wrappers.
-Exact arithmetic lives in the operator modules.
+Exact arithmetic, the Laurent model that extends the Toeplitz one
+included, lives in the operator modules, which lend this one only their
+Report shape.
 """
 from __future__ import annotations
 
@@ -15,10 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, require_budget
-from .operators import Commutator, Laurent, Report, Toeplitz, assemble, pass_fail
-from .partitions import Window, regrade, shift
-from .scalars import ONE
-from .symbols import Symbol, elementary
+from .operators import Report, pass_fail
 
 
 # Largest SVD s_toeplitz_solve takes, counted as the (d*n^2)^2 entries of
@@ -339,61 +338,3 @@ def s_toeplitz_solve(t: GammaTuple, tol: float = 1e-9) -> list:
     cutoff = tol * max(1.0, float(s[0]) if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     return [vh[k].conj().reshape(n, n) for k in range(rank, n * n)]
-
-
-# -- minimal unitary extension, concrete window model ----------------------------
-
-
-def _witnessed(name: str, witness) -> dict:
-    """The item of an exact check that holds when it found no witness."""
-    return {"name": name, "ok": witness is None,
-            "witness": None if witness is None else str(witness)}
-
-
-def minimal_extension_verify(phi: Symbol, window: Window) -> Report:
-    """Exact checks that the Laurent model extends the Toeplitz model minimally.
-
-    (1) the coordinate Laurent multipliers commute pairwise (exact column
-    maps, no truncation), (2) the analytic compression of Laurent(phi)
-    has exactly the Toeplitz entries, (3) every window index is reached
-    from an analytic index by diagonal shifts (regrade round trip).
-    """
-    d = phi.d
-    if window.d != d:
-        raise DomainError("window dimension mismatch")
-    if not len(window):
-        raise DomainError("empty window")
-    items = []
-
-    ls = [Laurent(elementary(d, i)) for i in range(1, d + 1)]
-    commutators = [(a, b, Commutator(ls[a], ls[b]))
-                   for a, b in itertools.combinations(range(d), 2)]
-    witness = next(((f"s_{a + 1}", f"s_{b + 1}", tuple(p)) for a, b, c in commutators
-                    for p in window if c.column(p)), None)
-    items.append(_witnessed("laurent-coordinates-commute", witness))
-
-    wa = window.analytic_part()
-    got = assemble(Laurent(phi), wa, wa).entries
-    want = assemble(Toeplitz(phi), wa, wa).entries
-    # mismatched positions as (column, row): the witness is the first column-major
-    bad = [(j, i) for i, j in got.keys() | want.keys() if got.get((i, j)) != want.get((i, j))]
-    witness = None
-    if bad:
-        j, i = min(bad)
-        witness = (tuple(wa.members[i]), tuple(wa.members[j]))
-    items.append(_witnessed("analytic-compression-is-toeplitz", witness))
-
-    ld = Laurent(elementary(d, d))
-    witness = None
-    for p in window:
-        r, base = regrade(p)
-        # |r| diagonal shifts lead from the lower index to the upper one
-        low, high = (p, base) if r < 0 else (base, p)
-        vec = {low: ONE}
-        for _ in range(abs(r)):
-            vec = ld.apply(vec)
-        if not base.is_analytic or shift(base, r) != p or vec != {high: ONE}:
-            witness = tuple(p)
-            break
-    items.append(_witnessed("diagonal-shift-reachability", witness))
-    return _items_report("minimal-extension", items, items=items)

@@ -259,16 +259,8 @@ class ShiftY(OperatorSpec):
         self.d = d
         self.j = j
 
-    @property
-    def step(self) -> tuple:
-        """f_j as a d-tuple, built on request, so a shift of huge d costs nothing up front."""
-        return (1,) * self.j + (0,) * (self.d - self.j)
-
-    def shifted(self, p: Partition) -> Partition:
-        return shift(p, 1, self.j)
-
     def _image(self, p: Partition) -> dict:
-        return {self.shifted(p): ONE}
+        return {shift(p, 1, self.j): ONE}
 
     def __repr__(self):
         return f"ShiftY(d={self.d}, j={self.j})"
@@ -507,7 +499,7 @@ def matrix_from_columns(columns: dict, rows: Window, cols: Window) -> MatrixWind
         col = columns.get(p, {})
         for q, v in col.items():
             i = rowpos.get(q)
-            if i is not None and v:
+            if i is not None:
                 entries[(i, j)] = v
     return MatrixWindow(rows, cols, entries)
 

@@ -403,10 +403,3 @@ def multiply(phi: Symbol, psi: Symbol) -> Symbol:
             prev = acc.get(s)
             acc[s] = ca * cb if prev is None else prev + ca * cb
     return Symbol(d, acc)
-
-
-def combine(a, phi: Symbol, b, psi: Symbol) -> Symbol:
-    """Exact linear combination a*phi + b*psi."""
-    if phi.d != psi.d:
-        raise DomainError("symbol dimension mismatch")
-    return phi.scaled(a) + psi.scaled(b)

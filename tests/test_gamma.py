@@ -11,19 +11,12 @@ from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from symtoep import (
-    ComplexRational,
     DegeneracyError,
     DomainError,
     GammaTuple,
-    Laurent,
     MarginError,
-    Toeplitz,
-    analytic_window,
     check_gamma_isometry,
     check_gamma_unitary,
-    elementary,
-    enumerate_window,
-    minimal_extension_verify,
     point_in_bgamma,
     point_in_gamma,
     s_toeplitz_solve,
@@ -425,33 +418,6 @@ def test_gamma_tuple_json_round_trip():
     assert again.d == t.d
     for a, b in zip(again.mats, t.mats):
         assert np.allclose(a, b, atol=1e-12)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_minimal_extension_verify(d):
-    phi = elementary(d, 1)
-    report = minimal_extension_verify(phi, analytic_window(d, 4))
-    assert report.passed
-
-
-def test_minimal_extension_compression_witness(monkeypatch):
-    """A wrong Toeplitz model fails check (2) at its first column-major mismatch."""
-    phi = elementary(2, 1).scaled(ComplexRational(1, 2)) + \
-        elementary(2, 2).conjugate().scaled(ComplexRational(0, 1))
-    window = enumerate_window(2, 4, -4)
-    monkeypatch.setattr(gamma, "Toeplitz", lambda symbol: Toeplitz(symbol.conjugate()))
-    report = minimal_extension_verify(phi, window)
-    assert [(item["name"], item["ok"]) for item in report.details["items"]] == [
-        ("laurent-coordinates-commute", True),
-        ("analytic-compression-is-toeplitz", False),
-        ("diagonal-shift-reachability", True)]
-    # the entry route, column by column over the window's analytic members
-    laurent, broken = Laurent(phi), Toeplitz(phi.conjugate())
-    analytic = [p for p in window if p.is_analytic]
-    mismatches = [(tuple(q), tuple(p)) for p in analytic for q in analytic
-                  if laurent.entry(q, p) != broken.entry(q, p)]
-    assert len(mismatches) > 1
-    assert report.details["items"][1]["witness"] == str(mismatches[0])
 
 
 @pytest.mark.parametrize("check", [check_gamma_unitary, check_gamma_isometry,

@@ -136,6 +136,21 @@ def test_lift_verify_passes_for_symbols(d):
     assert details["sampledSup"] >= details["windows"][-1]["toeplitzNorm"] - 1e-6
 
 
+def test_lift_block_check_fails_on_a_wrong_toeplitz_model(monkeypatch):
+    """blockOk compares the analytic block of L_phi with T_phi exactly, so a
+    Toeplitz model of conj phi fails it while every norm comparison holds."""
+    import symtoep.operators as operators
+
+    phi = elementary(2, 1).scaled(ComplexRational(1, 2)) + \
+        elementary(2, 2).conjugate().scaled(ComplexRational(0, 1))
+    monkeypatch.setattr(operators, "Toeplitz", lambda symbol: Toeplitz(symbol.conjugate()))
+    report = lift_verify(phi, [enumerate_window(2, 4, -4)])
+    details = report.details
+    assert [row["blockOk"] for row in details["windows"]] == [False]
+    assert details["chainOk"] and details["monotoneOk"] and details["normBoundOk"]
+    assert not report.passed
+
+
 def test_lift_dense_cap_counts_the_largest_window_first(monkeypatch):
     import symtoep.operators as operators
 

@@ -226,15 +226,32 @@ def test_adjoint_relation_on_columns(d):
             assert got == want
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_laurent_coordinates_commute_and_step_along_the_diagonal(d):
+    """The Laurent tuple (L_{s_1}, ..., L_{s_d}) on both sides of the model.
+
+    Its members commute exactly, column by column with no truncation, and
+    L_{s_d} moves e_p to e_{p+1}, one step along the diagonal, so that with
+    regrade every index is reached from an analytic one.  Neither fact
+    depends on a symbol; that the analytic compression of L_phi is T_phi is
+    the lift suite's blockOk.
+    """
+    window = enumerate_window(d, 3, -3)
+    laurents = [Laurent(elementary(d, i)) for i in range(1, d + 1)]
+    for a, b in itertools.combinations(laurents, 2):
+        commutator = Commutator(a, b)
+        assert all(commutator.column(p) == {} for p in window)
+    for p in window:
+        assert laurents[-1].column(p) == {shift(p, 1): ONE}
+
+
 def test_shift_operator_action():
     y = ShiftY(2, 1)
-    assert y.step == (1, 0)
-    assert y.shifted(Partition((1, 0))) == Partition((2, 0))
     assert y.column((1, 0)) == {Partition((2, 0)): ComplexRational(1)}
     assert y.entry((2, 0), (1, 0)) == ComplexRational(1)
     assert y.entry((2, 1), (1, 0)) == ComplexRational(0)
     y2 = ShiftY(3, 2)
-    assert y2.shifted(Partition((2, 1, 0))) == Partition((3, 2, 0))
+    assert y2.column((2, 1, 0)) == {Partition((3, 2, 0)): ONE}
 
 
 def test_shift_operator_domain():

@@ -32,6 +32,7 @@ from symtoep import (
     Toeplitz,
     analytic_window,
     antisymmetrize,
+    assemble,
     bh_residual_column,
     bh_residual_entry,
     bh_residuals,
@@ -177,11 +178,13 @@ def test_composed_columns_hold_no_zero_entries(case):
     residuals; a zero coefficient of the applied vector adds nothing.  The
     explicit examples pin both cases.  bh_residuals widens a residual's rows
     only when some column is nonempty, so a cancelled entry kept as a zero
-    would widen a vanishing residual.
+    would widen a vanishing residual.  The matrices assembled from the
+    columns of every kernel kind store each value as it is, so they hold no
+    zero either.
     """
     phi, analytic, op, p, vec, partner = case
     d = phi.d
-    kind, _ = _side(d, analytic)
+    kind, window = _side(d, analytic)
     cancelled = OpSum([kind(phi), kind(phi.scaled(-1))])
     partner = _distinguished(d, analytic)[0][partner]
     columns = [kind(phi).column(p), op.apply(vec), op.column(p),
@@ -193,6 +196,15 @@ def test_composed_columns_hold_no_zero_entries(case):
     assert cancelled.column(p) == {} and cancelled.apply(vec) == {}
     for i in range(1, d + 1):
         assert bh_residual_column(kind(phi), i, p) == {}, i
+    full = enumerate_window(d, 3, -3)
+    upper, lower = full.analytic_part(), full.nonanalytic_part()
+    mats = [assemble(Laurent(phi), full, full), assemble(Toeplitz(phi), upper, upper),
+            assemble(Hankel(phi), lower, upper), assemble(DualToeplitz(phi), lower, lower),
+            assemble(ShiftY(d, 1), upper, upper)]
+    mats += [assemble(x, window, window) for x in (op, cancelled, partner, Commutator(op, partner))]
+    mats += bh_residuals(op, window)
+    for m in mats:
+        assert all(m.entries.values()), m.entries
 
 
 @PROPERTY

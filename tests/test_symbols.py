@@ -15,7 +15,6 @@ from symtoep import (
     DomainError,
     MarginError,
     Symbol,
-    combine,
     elementary,
     multiply,
     unit,
@@ -91,11 +90,15 @@ def test_multiply_commutes_and_associates():
 
 
 def test_combine_is_linear():
-    a = elementary(2, 1)
-    b = elementary(2, 2)
-    lhs = combine(ComplexRational(2), a, ComplexRational(0, 1), b)
-    rhs = a.scaled(2) + b.scaled(ComplexRational(0, 1))
-    assert lhs.coeffs == rhs.coeffs
+    a = elementary(2, 1) + elementary(2, 2)
+    b = elementary(2, 2) + elementary(2, 1).conjugate()
+    x, y = ComplexRational(2), ComplexRational(0, 1)
+    combined = a.scaled(x) + b.scaled(y)
+    zero = ComplexRational(0)
+    assert combined.coeffs == {m: x * a.coeffs.get(m, zero) + y * b.coeffs.get(m, zero)
+                               for m in a.coeffs.keys() | b.coeffs.keys()}
+    z = (cmath.exp(0.7j), cmath.exp(-1.9j))
+    assert combined.evaluate(z) == pytest.approx(2 * a.evaluate(z) + 1j * b.evaluate(z))
 
 
 def test_evaluate_is_multiplicative():
