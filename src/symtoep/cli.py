@@ -232,7 +232,10 @@ def _suite_brown_halmos(args, phi, op, window) -> Report:
 
 
 def _suite_defect(args, phi, op, window) -> Report:
-    psi = phi if args.symbol2 is None else _read_symbol(args.symbol2, phi.d)
+    psi = phi if args.symbol2 is None else _read_symbol(args.symbol2, None)
+    if psi.d != phi.d:
+        raise _InputError(f"--symbol2 dimension {psi.d} in {args.symbol2} disagrees "
+                          f"with --symbol dimension {phi.d} in {args.symbol}")
     defect = product_defect(phi, psi, window)
     return Report(defect.is_zero(), {}, _witness_dicts(defect), [defect.max_abs()])
 

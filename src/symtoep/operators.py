@@ -13,15 +13,18 @@ share this formula and differ only in their row/column index sets.
 Each operator kind defines only the exact, finitely supported image of
 a basis vector, cached by OperatorSpec as ``column``.  ``apply`` and the
 one composed kind behind sums, commutators and product defects add their
-terms' signed images into one dict in place, and all d Brown-Halmos residual
-columns at p come from one walk over T's diagonal-step column and one
-shared step table, whose steps from each row are memoized for the process;
-no truncated matrix product decides exactness.  Every kernel deletes an
-entry the moment it cancels, so no column holds a zero.  A symbol column
-reads the adjacent gaps of each p + x as p's gaps plus x's gap offsets,
-tabled per operator: it adds a strict p + x on its row side as it stands,
-drops an adjacent tie or an off-side strict term before building it, and
-antisymmetrizes only the rest.
+terms' signed images into one dict in place, making no product by the
+shared ONE.  The distinguished tuple of the Brown-Halmos relations is
+Toeplitz or DualToeplitz of the elementary symbols s_i and their
+conjugates, whose columns come from the same symbol kernel.  Only the
+residuals walk a step table: all d residual columns at p come from one walk
+over T's diagonal-step column and one shared table, whose steps from each
+row are memoized for the process; no truncated matrix product decides
+exactness.  Every kernel deletes an entry the moment it cancels, so no
+column holds a zero.  A symbol column reads the adjacent gaps of each
+p + x as p's gaps plus x's gap offsets, tabled per operator: it adds a
+strict p + x on its row side as it stands, drops an adjacent tie or an
+off-side strict term before building it, and antisymmetrizes only the rest.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ from .partitions import (
     signed_index_permutations,
 )
 from .scalars import ONE, ZERO, ComplexRational
-from .symbols import Symbol, multiply
+from .symbols import Symbol, elementary, multiply
 
 
 def _as_partition(p) -> Partition:
@@ -56,50 +59,25 @@ def _as_partition(p) -> Partition:
 def _accumulate(acc: dict, op: "OperatorSpec", vec: dict, sign: int) -> None:
     """Add sign * op(vec) into acc in place, deleting each entry that cancels.
 
-    A zero coefficient of vec adds nothing, once its index is checked.  The
-    sign and the unit tests are made once per column of op, not per entry:
-    every value of a kind with ``_unit_columns`` is the shared ONE, so its
-    image adds +-v, negated once per index of vec, at the column's keys, and
-    a factor v that is ONE adds or subtracts op's column with no multiply.
+    A zero coefficient of vec adds nothing, once its index is checked.  Each
+    term c * v is made without a multiply when either factor is the shared
+    ONE, as every value of a ShiftY or elementary-symbol column is.
     """
     get = acc.get
     column = op.column
-    unit = op._unit_columns
     for p, v in vec.items():
         col = column(p)
         if not v:
             continue
-        if unit:
-            w = v if sign > 0 else -v
-            for q in col:
-                cur = get(q)
-                if cur is None:
-                    acc[q] = w
-                elif s := cur + w:
-                    acc[q] = s
-                else:
-                    del acc[q]
-        elif v is ONE and sign < 0:
-            for q, c in col.items():
-                cur = get(q)
-                if cur is None:
-                    acc[q] = -c
-                elif s := cur - c:
-                    acc[q] = s
-                else:
-                    del acc[q]
-        else:
-            if sign < 0:
-                v = -v
-            for q, c in col.items():
-                w = c if v is ONE else c * v
-                cur = get(q)
-                if cur is None:
-                    acc[q] = w
-                elif s := cur + w:
-                    acc[q] = s
-                else:
-                    del acc[q]
+        for q, c in col.items():
+            w = v if c is ONE else c if v is ONE else c * v
+            cur = get(q)
+            if cur is None:
+                acc[q] = w if sign > 0 else -w
+            elif s := (cur + w if sign > 0 else cur - w):
+                acc[q] = s
+            else:
+                del acc[q]
 
 
 # -- operator kinds ---------------------------------------------------------
@@ -115,7 +93,6 @@ class OperatorSpec:
     d: int
     _row_analytic: bool | None = None
     _col_analytic: bool | None = None
-    _unit_columns = False  # True when every column value is the shared ONE
 
     def accepts_row(self, q: Partition) -> bool:
         return self._row_analytic in (None, q.is_analytic)
@@ -249,7 +226,6 @@ class ShiftY(OperatorSpec):
     Brown-Halmos relation but fails the coordinate ones.
     """
     _row_analytic = _col_analytic = True
-    _unit_columns = True
 
     def __init__(self, d: int, j: int):
         if d < 2:
@@ -264,55 +240,6 @@ class ShiftY(OperatorSpec):
 
     def __repr__(self):
         return f"ShiftY(d={self.d}, j={self.j})"
-
-
-@lru_cache(maxsize=None)
-def _step_table(d: int, sign: int) -> tuple:
-    """At k: each step sign*e, e a 0/1 vector of k ones, in orbit_permutations order, and its
-    mask, with bit j < d-1 if it ties p_j, p_{j+1} at a gap of 1, bit d-1 if it moves p_{d-1}."""
-    return tuple(tuple((s, sum(1 << j for j in range(d - 1) if s[j] - s[j + 1] == -1)
-                        | (s[-1] != 0) << (d - 1))
-                       for s in orbit_permutations((sign,) * k + (0,) * (d - k)))
-                 for k in range(d + 1))
-
-
-@lru_cache(maxsize=None)
-def _steps(p: Partition, sign: int, edge, ones) -> tuple:
-    """(k, p + sign*e) over table steps with k in ones, keeping p strict and off edge.
-
-    Memoized for the process: the batteries check many operators over the
-    same rows, and one entry per (row, direction, side, ones) is small.
-    """
-    blocked = (p[-1] == edge) << (len(p) - 1)
-    for k in range(len(p) - 1):
-        if p[k] - p[k + 1] == 1:
-            blocked |= 1 << k
-    return tuple((k, Partition._unsafe(map(add, p, s))) for k in ones
-                 for s, mask in _step_table(len(p), sign)[k] if not blocked & mask)
-
-
-class _CoordinateStep(OperatorSpec):
-    """T_{s_i} (sign 1) or T_{conj s_i} (sign -1) in closed form on one side.
-
-    For strict p and a 0/1 vector e with i ones, p + e and p - e are
-    non-increasing: strict, with coefficient exactly +1 and no reordering,
-    or with a tie, where the term vanishes.  So the image of e_p is the sum
-    of e_{p + sign*e} over the steps of _step_table that keep the index
-    strict and on the side, every coefficient the shared ONE.  On the
-    analytic side this is Toeplitz of s_i or conj s_i, on the non-analytic
-    side DualToeplitz of the same symbol.
-    """
-    _unit_columns = True
-
-    def __init__(self, d: int, i: int, sign: int, analytic: bool):
-        self.d = d
-        self._row_analytic = self._col_analytic = analytic
-        self._ones, self._sign = (i,), sign
-        # a last entry leaves the side from 0 moving down, or from -1 moving up
-        self._edge = None if (sign > 0) == analytic else (0 if analytic else -1)
-
-    def _image(self, p: Partition) -> dict:
-        return {r: ONE for _, r in _steps(p, self._sign, self._edge, self._ones)}
 
 
 class FiniteRank(OperatorSpec):
@@ -514,9 +441,36 @@ def _distinguished(d: int, analytic: bool) -> tuple[list, list]:
     side: Z_i = DT_{conj s_i} with adjoint DT_{s_i}.  Z_d moves every index
     along the diagonal, up on the analytic side and down on the other.
     """
-    up = [_CoordinateStep(d, i, 1, analytic) for i in range(1, d + 1)]
-    down = [_CoordinateStep(d, i, -1, analytic) for i in range(1, d + 1)]
+    kind = Toeplitz if analytic else DualToeplitz
+    coordinates = [elementary(d, i) for i in range(1, d + 1)]
+    up = [kind(s) for s in coordinates]
+    down = [kind(s.conjugate()) for s in coordinates]
     return (up, down) if analytic else (down, up)
+
+
+@lru_cache(maxsize=None)
+def _step_table(d: int, sign: int) -> tuple:
+    """At k: each step sign*e, e a 0/1 vector of k ones, in orbit_permutations order, and its
+    mask, with bit j < d-1 if it ties p_j, p_{j+1} at a gap of 1, bit d-1 if it moves p_{d-1}."""
+    return tuple(tuple((s, sum(1 << j for j in range(d - 1) if s[j] - s[j + 1] == -1)
+                        | (s[-1] != 0) << (d - 1))
+                       for s in orbit_permutations((sign,) * k + (0,) * (d - k)))
+                 for k in range(d + 1))
+
+
+@lru_cache(maxsize=None)
+def _steps(p: Partition, sign: int, edge, ones) -> tuple:
+    """(k, p + sign*e) over table steps with k in ones, keeping p strict and off edge.
+
+    Memoized for the process: the batteries check many operators over the
+    same rows, and one entry per (row, direction, side, ones) is small.
+    """
+    blocked = (p[-1] == edge) << (len(p) - 1)
+    for k in range(len(p) - 1):
+        if p[k] - p[k + 1] == 1:
+            blocked |= 1 << k
+    return tuple((k, Partition._unsafe(map(add, p, s))) for k in ones
+                 for s, mask in _step_table(len(p), sign)[k] if not blocked & mask)
 
 
 def _workspace(d: int, wanted) -> tuple:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, require_budget
 from .partitions import orbit_permutations, orbit_size
-from .scalars import ComplexRational
+from .scalars import ONE, ComplexRational
 
 TORUS_TOL = 1e-12
 # Largest torus sampling job torus_max accepts, counted in term evaluations
@@ -379,8 +379,7 @@ def elementary(d: int, i: int) -> Symbol:
     """i-th elementary symmetric coordinate s_i; s_d is the top degree p."""
     if not 1 <= i <= d:
         raise DomainError(f"elementary index must satisfy 1 <= i <= d, got {i}")
-    rep = (1,) * i + (0,) * (d - i)
-    return Symbol(d, {rep: ComplexRational(1)})
+    return Symbol(d, {(1,) * i + (0,) * (d - i): ONE})
 
 
 def multiply(phi: Symbol, psi: Symbol) -> Symbol:

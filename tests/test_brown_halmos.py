@@ -27,7 +27,8 @@ from symtoep import (
     product_defect,
     unit,
 )
-from symtoep.operators import _CoordinateStep, _steps
+from symtoep import operators
+from symtoep.operators import _steps
 from conftest import compose_columns, symbol_battery
 
 
@@ -71,10 +72,10 @@ def test_shift_fails_coordinate_relation_with_witness():
 @pytest.mark.parametrize("analytic", [True, False])
 def test_residuals_build_no_coordinate_step_column(analytic, monkeypatch):
     """The residuals read their steps from the step table, not from Z's columns."""
-    def refuse(self, p):
-        raise AssertionError(f"coordinate-step column built at {tuple(p)}")
+    def refuse(d, analytic):
+        raise AssertionError(f"distinguished tuple built for d={d}")
 
-    monkeypatch.setattr(_CoordinateStep, "_image", refuse)
+    monkeypatch.setattr(operators, "_distinguished", refuse)
     window = analytic_window(3, 5) if analytic else dual_window(3, 2, -3)
     kind = Toeplitz if analytic else DualToeplitz
     phi = elementary(3, 1) + elementary(3, 3).conjugate()

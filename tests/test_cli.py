@@ -151,6 +151,18 @@ def test_verify_defect_two_symbols(s1_file, selfadj_file, capsys):
     assert json.loads(out)["verdict"] is True
 
 
+def test_verify_defect_second_symbol_of_another_dimension(s1_file, tmp_path, capsys):
+    """The message names the two symbol options, not a --d no one gave."""
+    other = tmp_path / "s1_d3.json"
+    other.write_text(json.dumps(elementary(3, 1).to_json_dict()))
+    code, out, err = run_main(
+        ["verify", "--suite", "defect", "--symbol", s1_file, "--symbol2", str(other)],
+        capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: --symbol2 dimension 3 in {other} disagrees with "
+                   f"--symbol dimension 2 in {s1_file}\n")
+
+
 def test_verify_eta_reports_nonzero_for_toeplitz(s1_file, capsys):
     code, out, _ = run_main(
         ["verify", "--suite", "eta", "--symbol", s1_file, "--j", "2"], capsys)

@@ -162,10 +162,13 @@ def test_apply_with_a_unit_factor_is_the_same_dict():
         fresh = Toeplitz(phi).apply({p: ComplexRational(1)})
         assert shared == fresh and list(shared) == list(fresh)
         assert [hash(v) for v in shared.values()] == [hash(v) for v in fresh.values()]
-    # unit column factors: the closed-form T_{s_i} against the symbol kernel's
-    for i in range(1, 4):
-        shared = _distinguished(3, True)[0][i - 1].apply(vec)
-        fresh = Toeplitz(elementary(3, i)).apply(vec)
+    # unit column factors: ShiftY's shared ONE against an equal FiniteRank's fresh 1s
+    for j in range(1, 3):
+        y = ShiftY(3, j)
+        fresh_ones = FiniteRank(3, ((q, p, ComplexRational(1)) for p in vec
+                                    for q in y.column(p)))
+        shared = y.apply(vec)
+        fresh = fresh_ones.apply(vec)
         assert shared == fresh and list(shared) == list(fresh)
         assert [hash(v) for v in shared.values()] == [hash(v) for v in fresh.values()]
 

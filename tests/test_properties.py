@@ -6,10 +6,10 @@ The residual routine serves the analytic side (Toeplitz relations) and
 the non-analytic side (dual relations), so each residual property is
 checked on both.  The eta blocks and the finite-rank truncation are
 compared with the independent entry route, and so is the column kernel
-that every operator kind shares, and the closed-form coordinate
-multipliers with the symbol kernel.  Every column that sums terms (a
-symbol column, apply, sums, commutators, residuals, product defects) holds
-no entry its terms cancel.  Symbol recovery inverts the Toeplitz entry
+that every operator kind shares, and the residuals' step table with the
+symbol kernel's columns of the coordinates s_i.  Every column that sums
+terms (a symbol column, apply, sums, commutators, residuals, product
+defects) holds no entry its terms cancel.  Symbol recovery inverts the Toeplitz entry
 map, and antisymmetrization signs are permutation parities.
 """
 
@@ -46,7 +46,7 @@ from symtoep import (
     truncation_support,
 )
 from symtoep.compactness import eta_blocks
-from symtoep.operators import Commutator, _distinguished
+from symtoep.operators import Commutator, _distinguished, _steps
 from symtoep.scalars import ONE
 
 HEIGHT = 2
@@ -403,17 +403,19 @@ def _edge_indices(draw, d, analytic):
 @PROPERTY
 @given(data=st.data())
 def test_closed_form_coordinates_equal_the_symbol_kernel(d, analytic, data):
-    # the distinguished tuple of a side is (T_{s_i}, T_{conj s_i}) on the
-    # analytic side and (DT_{conj s_i}, DT_{s_i}) on the other
+    # for strict p and a 0/1 vector e of i ones, p + e and p - e are strict
+    # or hold a tie, so the column of s_i (of conj s_i) at p is 1 at each
+    # strict step p + e (p - e) on p's side: the rows of the step table the
+    # residuals walk, in the same order
     p = data.draw(_edge_indices(d, analytic))
     kind = Toeplitz if analytic else DualToeplitz
-    z, z_adj = _distinguished(d, analytic)
-    up, down = (z, z_adj) if analytic else (z_adj, z)
     for i in range(1, d + 1):
         s = elementary(d, i)
-        for closed, general in ((up[i - 1], kind(s)), (down[i - 1], kind(s.conjugate()))):
-            col = closed.column(p)
-            assert col == general.column(p)
-            assert list(col) == list(general.column(p))
-            assert all(c is ONE for c in col.values())
+        for sign, symbol in ((1, s), (-1, s.conjugate())):
+            # a last entry leaves the side from 0 moving down, or from -1 moving up
+            edge = None if (sign > 0) == analytic else (0 if analytic else -1)
+            col = kind(symbol).column(p)
+            assert list(col) == [r for _, r in _steps(p, sign, edge, frozenset({i}))]
+            # the columns of s_i hold the shared ONE, which apply multiplies by no value
+            assert all(c is ONE if sign > 0 else c == ONE for c in col.values())
 
