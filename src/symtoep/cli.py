@@ -274,6 +274,9 @@ _SUITES = {
 
 def _cmd_verify(args) -> int:
     runner, window_kind, op_class, default_top = _SUITES[args.suite]
+    if args.symbol2 is not None and args.suite != "defect":
+        raise _InputError(
+            f"--symbol2 is read only by --suite defect, not by --suite {args.suite}")
     _check_maxtop(args.maxtop)
     if args.grid < 1:
         raise _InputError(f"--grid must be >= 1, got {args.grid}")

@@ -16,15 +16,16 @@ one composed kind behind sums, commutators and product defects add their
 terms' signed images into one dict in place, making no product by the
 shared ONE.  The distinguished tuple of the Brown-Halmos relations is
 Toeplitz or DualToeplitz of the elementary symbols s_i and their
-conjugates, whose columns come from the same symbol kernel.  Only the
-residuals walk a step table: all d residual columns at p come from one walk
-over T's diagonal-step column and one shared table, whose steps from each
-row are memoized for the process; no truncated matrix product decides
-exactness.  Every kernel deletes an entry the moment it cancels, so no
-column holds a zero.  A symbol column reads the adjacent gaps of each
-p + x as p's gaps plus x's gap offsets, tabled per operator: it adds a
-strict p + x on its row side as it stands, drops an adjacent tie or an
-off-side strict term before building it, and antisymmetrizes only the rest.
+conjugates, whose columns come from the same symbol kernel; the tuple is
+built once per dimension and side.  The residuals step along its adjoint
+columns: all d residual columns at p come from one walk over T's
+diagonal-step column, whose rows' adjoint steps are memoized per row for
+the process; no truncated matrix product decides exactness.  Every
+kernel deletes an entry the moment it cancels, so no column holds a zero.
+A symbol column reads the adjacent gaps of each p + x as p's gaps plus
+x's gap offsets, tabled per operator: it adds a strict p + x on its row
+side as it stands, drops an adjacent tie or an off-side strict term before
+building it, and antisymmetrizes only the rest.
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ from .partitions import (
     Window,
     analytic_window,
     antisymmetrize,
-    orbit_permutations,
     shift,
     signed_index_permutations,
 )
@@ -434,81 +434,64 @@ def matrix_from_columns(columns: dict, rows: Window, cols: Window) -> MatrixWind
 # -- Brown-Halmos residuals ---------------------------------------------------
 
 
-def _distinguished(d: int, analytic: bool) -> tuple[list, list]:
+@lru_cache(maxsize=None)
+def _distinguished(d: int, analytic: bool) -> tuple[tuple, tuple]:
     """The distinguished tuple (Z_1, ..., Z_d) of one side, and its adjoints.
 
     Analytic side: Z_i = T_{s_i} with adjoint T_{conj s_i}.  Non-analytic
     side: Z_i = DT_{conj s_i} with adjoint DT_{s_i}.  Z_d moves every index
     along the diagonal, up on the analytic side and down on the other.
+    Memoized for the process, so the operators' column caches serve every
+    residual and commutator with the tuple.
     """
     kind = Toeplitz if analytic else DualToeplitz
     coordinates = [elementary(d, i) for i in range(1, d + 1)]
-    up = [kind(s) for s in coordinates]
-    down = [kind(s.conjugate()) for s in coordinates]
+    up = tuple(kind(s) for s in coordinates)
+    down = tuple(kind(s.conjugate()) for s in coordinates)
     return (up, down) if analytic else (down, up)
 
 
 @lru_cache(maxsize=None)
-def _step_table(d: int, sign: int) -> tuple:
-    """At k: each step sign*e, e a 0/1 vector of k ones, in orbit_permutations order, and its
-    mask, with bit j < d-1 if it ties p_j, p_{j+1} at a gap of 1, bit d-1 if it moves p_{d-1}."""
-    return tuple(tuple((s, sum(1 << j for j in range(d - 1) if s[j] - s[j + 1] == -1)
-                        | (s[-1] != 0) << (d - 1))
-                       for s in orbit_permutations((sign,) * k + (0,) * (d - k)))
-                 for k in range(d + 1))
+def _adjoint_steps(q: Partition, analytic: bool) -> tuple:
+    """(k, r) over the rows r of Z_{k+1}^* e_q, k = 0..d-1, for the tuple on q's side.
 
-
-@lru_cache(maxsize=None)
-def _steps(p: Partition, sign: int, edge, ones) -> tuple:
-    """(k, p + sign*e) over table steps with k in ones, keeping p strict and off edge.
-
-    Memoized for the process: the batteries check many operators over the
-    same rows, and one entry per (row, direction, side, ones) is small.
+    Every value of those columns is 1.  Memoized for the process: the
+    batteries check many operators over the same rows.
     """
-    blocked = (p[-1] == edge) << (len(p) - 1)
-    for k in range(len(p) - 1):
-        if p[k] - p[k + 1] == 1:
-            blocked |= 1 << k
-    return tuple((k, Partition._unsafe(map(add, p, s))) for k in ones
-                 for s, mask in _step_table(len(p), sign)[k] if not blocked & mask)
+    adjoints = _distinguished(len(q), analytic)[1]
+    return tuple((k, r) for k, z in enumerate(adjoints) for r in z.column(q))
 
 
-def _workspace(d: int, wanted) -> tuple:
-    """(wanted i, their partners d - i, p -> columns) of one window."""
-    return frozenset(wanted), frozenset(d - k for k in wanted), {}
-
-
-def bh_residual_column(T: OperatorSpec, i: int, p, _shared=None) -> dict:
+def bh_residual_column(T: OperatorSpec, i: int, p, _made=None) -> dict:
     """Exact column at p of the i-th Brown-Halmos residual of T.
 
     The side of the model is that of p.  With that side's distinguished
     tuple Z, the residual is Z_i^* T Z_d - T Z_{d-i} for 1 <= i <= d-1 and
     Z_d^* T Z_d - T for i = d: the Toeplitz relations on the analytic
     side, the dual Toeplitz relations on the non-analytic complement.
-    Z_i steps by sigma*e and Z_i^* by -sigma*e over 0/1 vectors e of i ones
-    (sigma = 1 on the analytic side, else -1), so all residuals at p come
-    from one walk over T's column at p + sigma*1, each value added at its
-    row's adjoint steps into residual |e|, and from T's columns at p's steps
-    with |e| < d, each subtracted from residual d - |e|.  Every row of that
-    walk is checked to lie on p's side; the steps of a row are memoized for
-    the process (_steps).  A _workspace ``_shared`` makes all its wanted
-    residuals at p on the first call there.
+    Z_d e_p = e_{p + sigma*1} (sigma = 1 on the analytic side, else -1) and
+    every value of Z's columns is 1, so all d residuals at p come from one
+    walk over T's column at p + sigma*1, each value added at the rows of its
+    row's adjoint columns Z_k^* e_q into residual k, and from T's columns at
+    the rows of Z_{d-k} e_p (at p itself for k = d), each subtracted from
+    residual k.  Every row of that walk is checked to lie on p's side; its
+    adjoint steps are memoized per row (_adjoint_steps).  A call makes all d
+    residuals at p, and keeps them in the per-window dict ``_made`` if given.
     """
     d = T.d
     if not 1 <= i <= d:
         raise DomainError(f"residual index must satisfy 1 <= i <= d, got {i}")
     p = _as_partition(p)
-    wanted, partners, made = _shared or _workspace(d, (i,))
+    made = {} if _made is None else _made
     cols = made.get(p)
     if cols is None:
         analytic = p[-1] >= 0
-        sigma, edge = (1, 0) if analytic else (-1, -1)
-        accs = [{} for _ in range(d + 1)]  # accs[k] accumulates residual k
-        for q, v in T.column(shift(p, sigma)).items():
+        cols = [{} for _ in range(d)]  # cols[k] accumulates residual k + 1
+        for q, v in T.column(shift(p, 1 if analytic else -1)).items():
             if (q[-1] >= 0) != analytic:
                 raise DomainError(f"residual row {tuple(q)} is off the side of {tuple(p)}")
-            for k, r in _steps(q, -sigma, edge, wanted):
-                acc = accs[k]
+            for k, r in _adjoint_steps(q, analytic):
+                acc = cols[k]
                 cur = acc.get(r)
                 if cur is None:
                     acc[r] = v
@@ -516,18 +499,19 @@ def bh_residual_column(T: OperatorSpec, i: int, p, _shared=None) -> dict:
                     acc[r] = s
                 else:
                     del acc[r]
-        for k, t in _steps(p, sigma, None, partners):
-            acc = accs[d - k]
-            for q, c in T.column(t).items():
-                cur = acc.get(q)
-                if cur is None:
-                    acc[q] = -c
-                elif cur is c or cur == c:
-                    del acc[q]
-                else:  # an unequal difference is nonzero
-                    acc[q] = cur - c
-        cols = made[p] = {k: accs[k] for k in wanted}
-    return cols[i]
+        z = _distinguished(d, analytic)[0]
+        for k, acc in enumerate(cols, start=1):
+            for t in z[d - k - 1].column(p) if k < d else (p,):
+                for q, c in T.column(t).items():
+                    cur = acc.get(q)
+                    if cur is None:
+                        acc[q] = -c
+                    elif cur is c or cur == c:
+                        del acc[q]
+                    else:  # an unequal difference is nonzero
+                        acc[q] = cur - c
+        made[p] = cols
+    return cols[i - 1]
 
 
 def bh_residual_entry(T: OperatorSpec, i: int, q, p) -> ComplexRational:
@@ -571,10 +555,10 @@ def bh_residuals(T: OperatorSpec, window: Window) -> list[MatrixWindow]:
         raise DomainError("window dimension does not match operator")
     if len({p.is_analytic for p in window}) > 1:
         raise DomainError("Brown-Halmos residuals need a window on one side of the model")
-    shared = _workspace(T.d, range(1, T.d + 1))
+    made: dict = {}
     mats = []
     for i in range(1, T.d + 1):
-        columns = {p: bh_residual_column(T, i, p, shared) for p in window}
+        columns = {p: bh_residual_column(T, i, p, made) for p in window}
         m = matrix_from_columns(columns, window, window)
         if m.is_zero() and any(columns.values()):
             members = set(window).union(*columns.values())

@@ -2,7 +2,22 @@
 
 import itertools
 
-from symtoep import Symbol, elementary, unit
+import pytest
+
+from symtoep import Symbol, elementary, operators, unit
+
+
+@pytest.fixture(autouse=True)
+def _forget_the_distinguished_tuple(request):
+    """After a test that patches, drop the process-wide tuple and its steps.
+
+    A tuple built under a patched Toeplitz or symbol kernel would serve its
+    columns to every later test.
+    """
+    yield
+    if "monkeypatch" in request.fixturenames:
+        operators._distinguished.cache_clear()
+        operators._adjoint_steps.cache_clear()
 
 
 def symbol_battery(d: int) -> list[Symbol]:

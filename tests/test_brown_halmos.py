@@ -27,8 +27,7 @@ from symtoep import (
     product_defect,
     unit,
 )
-from symtoep import operators
-from symtoep.operators import _steps
+from symtoep.operators import _adjoint_steps, _distinguished
 from conftest import compose_columns, symbol_battery
 
 
@@ -70,19 +69,22 @@ def test_shift_fails_coordinate_relation_with_witness():
 
 
 @pytest.mark.parametrize("analytic", [True, False])
-def test_residuals_build_no_coordinate_step_column(analytic, monkeypatch):
-    """The residuals read their steps from the step table, not from Z's columns."""
-    def refuse(d, analytic):
-        raise AssertionError(f"distinguished tuple built for d={d}")
-
-    monkeypatch.setattr(operators, "_distinguished", refuse)
+def test_residuals_build_no_coordinate_step_column(analytic):
+    """The residuals and the entry route build the distinguished tuple once per
+    (d, side) and step along its memoized columns."""
     window = analytic_window(3, 5) if analytic else dual_window(3, 2, -3)
     kind = Toeplitz if analytic else DualToeplitz
     phi = elementary(3, 1) + elementary(3, 3).conjugate()
+    _distinguished.cache_clear()
     assert all(m.is_zero() for m in bh_residuals(kind(phi), window))
     p = window.members[0]
-    bump = FiniteRank(3, [(p, p, ComplexRational(1))])
-    assert not all(m.is_zero() for m in bh_residuals(OpSum([kind(phi), bump]), window))
+    bumped = OpSum([kind(phi), FiniteRank(3, [(p, p, ComplexRational(1))])])
+    residuals = bh_residuals(bumped, window)
+    assert not all(m.is_zero() for m in residuals)
+    for i, m in enumerate(residuals, start=1):
+        for q, col, v in m.nonzero_witnesses():
+            assert bh_residual_entry(bumped, i, q, col) == v
+    assert _distinguished.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("d,j", [(2, 1), (3, 1), (3, 2)])
@@ -182,16 +184,19 @@ def test_residual_rows_off_the_side_raise(power, window, message):
 def test_memoized_steps_give_the_same_residuals_cold_and_warm():
     window = analytic_window(3, 4)
     battery = symbol_battery(3)
-    _steps.cache_clear()
+    _adjoint_steps.cache_clear()
+    _distinguished.cache_clear()
     cold = [bh_residuals(Toeplitz(phi), window) for phi in battery]
-    size = _steps.cache_info().currsize
-    assert size and _steps.cache_info().hits
+    size = _adjoint_steps.cache_info().currsize
+    assert size and _adjoint_steps.cache_info().hits
+    assert _distinguished.cache_info().currsize == 1
     warm = [bh_residuals(Toeplitz(phi), window) for phi in battery]
-    assert _steps.cache_info().currsize == size
+    assert _adjoint_steps.cache_info().currsize == size
+    assert _distinguished.cache_info().currsize == 1
     for a, b in zip(cold, warm):
         for x, y in zip(a, b):
             assert x.rows == y.rows
             assert x.entries == y.entries and list(x.entries) == list(y.entries)
     row = window.members[-1]
-    steps = _steps(row, 1, None, frozenset({1, 2}))
-    assert isinstance(steps, tuple) and _steps(row, 1, None, frozenset({1, 2})) is steps
+    steps = _adjoint_steps(row, True)
+    assert isinstance(steps, tuple) and _adjoint_steps(row, True) is steps

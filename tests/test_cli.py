@@ -163,6 +163,16 @@ def test_verify_defect_second_symbol_of_another_dimension(s1_file, tmp_path, cap
                    f"--symbol dimension 2 in {s1_file}\n")
 
 
+@pytest.mark.parametrize("suite", ["brown-halmos", "lift"])
+def test_verify_second_symbol_outside_the_defect_suite(suite, s1_file, tmp_path, capsys):
+    """Only defect reads --symbol2; any other suite rejects it, even unread."""
+    missing = tmp_path / "missing.json"
+    code, out, err = run_main(
+        ["verify", "--suite", suite, "--symbol", s1_file, "--symbol2", str(missing)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --symbol2 is read only by --suite defect, not by --suite {suite}\n"
+
+
 def test_verify_eta_reports_nonzero_for_toeplitz(s1_file, capsys):
     code, out, _ = run_main(
         ["verify", "--suite", "eta", "--symbol", s1_file, "--j", "2"], capsys)

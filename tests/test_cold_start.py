@@ -1,12 +1,13 @@
-"""Cold start: no symtoep process loads scipy.
+"""Cold start: no symtoep process loads scipy, and import does no work.
 
 The library depends on numpy alone; scipy is a test dependency only, and
-importing the CLI loads no other third-party package.
+importing the CLI loads no other third-party package and fills no memo.
 These tests run fresh interpreters, because the test process itself
 already holds scipy through the ``scipy.stats`` imports of other test
 modules.
 """
 
+import ast
 import os
 import shutil
 import subprocess
@@ -39,6 +40,19 @@ def test_importing_the_library_and_cli_loads_no_scipy():
         " - sys.stdlib_module_names))")])
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().strip() == "['numpy', 'symtoep']"
+
+
+def test_importing_the_cli_fills_no_memo():
+    """Import does no work: every lru_cache of a symtoep module is empty."""
+    proc = _fresh_python(["-c", (
+        "import sys; import symtoep.cli; "
+        "print(sorted((name, attr, f.cache_info().currsize)"
+        " for name, m in list(sys.modules.items()) if name.partition('.')[0] == 'symtoep'"
+        " for attr, f in vars(m).items() if hasattr(f, 'cache_info')))")])
+    assert proc.returncode == 0, proc.stderr.decode()
+    memos = ast.literal_eval(proc.stdout.decode())
+    assert ("symtoep.operators", "_distinguished", 0) in memos
+    assert [m for m in memos if m[2]] == []
 
 
 def test_check_unitary_from_cold_matches_golden_without_scipy(tmp_path):

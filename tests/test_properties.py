@@ -6,8 +6,8 @@ The residual routine serves the analytic side (Toeplitz relations) and
 the non-analytic side (dual relations), so each residual property is
 checked on both.  The eta blocks and the finite-rank truncation are
 compared with the independent entry route, and so is the column kernel
-that every operator kind shares, and the residuals' step table with the
-symbol kernel's columns of the coordinates s_i.  Every column that sums
+that every operator kind shares, and the symbol kernel's columns of the
+coordinates s_i with their closed form.  Every column that sums
 terms (a symbol column, apply, sums, commutators, residuals, product
 defects) holds no entry its terms cancel.  Symbol recovery inverts the Toeplitz entry
 map, and antisymmetrization signs are permutation parities.
@@ -40,13 +40,14 @@ from symtoep import (
     elementary,
     enumerate_window,
     finite_rank_truncation,
+    orbit_permutations,
     product_defect,
     recover_symbol,
     shift,
     truncation_support,
 )
 from symtoep.compactness import eta_blocks
-from symtoep.operators import Commutator, _distinguished, _steps
+from symtoep.operators import Commutator, _distinguished
 from symtoep.scalars import ONE
 
 HEIGHT = 2
@@ -100,8 +101,8 @@ def _assert_column_route_equals_entry_route(phi, analytic, data):
     op = _perturbed(phi, kind, window, data.draw)
     built = {}
 
-    def spy(T, i, p, _shared=None):
-        built[i, p] = column = residual_column(T, i, p, _shared)
+    def spy(T, i, p, _made=None):
+        built[i, p] = column = residual_column(T, i, p, _made)
         return column
 
     residual_column = operators.bh_residual_column
@@ -113,7 +114,7 @@ def _assert_column_route_equals_entry_route(phi, analytic, data):
             for p in window:
                 assert res.entry_at(q, p) == bh_residual_entry(op, i, q, p), (i, q, p)
         for p in window:
-            # a bare call makes residual i alone; bh_residuals made all d at once
+            # a bare call makes its own d residuals at p; bh_residuals shared one dict
             col = bh_residual_column(op, i, p)
             assert col == built[i, p] and list(col) == list(built[i, p]), (i, p)
             # and every row of the column's support, inside the window or not
@@ -405,17 +406,18 @@ def _edge_indices(draw, d, analytic):
 def test_closed_form_coordinates_equal_the_symbol_kernel(d, analytic, data):
     # for strict p and a 0/1 vector e of i ones, p + e and p - e are strict
     # or hold a tie, so the column of s_i (of conj s_i) at p is 1 at each
-    # strict step p + e (p - e) on p's side: the rows of the step table the
-    # residuals walk, in the same order
+    # strict step p + e (p - e) on p's side, in orbit_permutations order:
+    # the rows the residuals step along
     p = data.draw(_edge_indices(d, analytic))
     kind = Toeplitz if analytic else DualToeplitz
     for i in range(1, d + 1):
         s = elementary(d, i)
         for sign, symbol in ((1, s), (-1, s.conjugate())):
-            # a last entry leaves the side from 0 moving down, or from -1 moving up
-            edge = None if (sign > 0) == analytic else (0 if analytic else -1)
+            steps = (tuple(x + y for x, y in zip(p, e))
+                     for e in orbit_permutations((sign,) * i + (0,) * (d - i)))
+            strict = [r for r in steps
+                      if all(a > b for a, b in zip(r, r[1:])) and (r[-1] >= 0) == analytic]
             col = kind(symbol).column(p)
-            assert list(col) == [r for _, r in _steps(p, sign, edge, frozenset({i}))]
-            # the columns of s_i hold the shared ONE, which apply multiplies by no value
+            assert list(col) == strict
             assert all(c is ONE if sign > 0 else c == ONE for c in col.values())
 
