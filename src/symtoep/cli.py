@@ -180,6 +180,13 @@ def _window(kind: str, d: int, top: int, bottom: int) -> Window:
     return (dual_window if kind == "dual" else enumerate_window)(d, top, bottom)
 
 
+def _read_only_by(option: str, value, flag: str, chosen: str, readers) -> None:
+    """Reject an option given to a --kind or --suite that does not read it."""
+    if value is not None and chosen not in readers:
+        raise _InputError(f"{option} is read only by {flag} {'/'.join(sorted(readers))}, "
+                          f"not by {flag} {chosen}")
+
+
 def _check_maxtop(maxtop: int | None) -> None:
     if maxtop is not None and maxtop < 0:
         raise _InputError(f"--maxtop must be >= 0, got {maxtop}")
@@ -196,6 +203,11 @@ _KINDS = {
 
 
 def _cmd_matrix(args) -> int:
+    _read_only_by("--symbol", args.symbol, "--kind", args.kind,
+                  [k for k, (cls, _, _) in _KINDS.items() if cls is not ShiftY])
+    _read_only_by("--j", args.j, "--kind", args.kind, ["shiftY"])
+    _read_only_by("--minbottom", args.minbottom, "--kind", args.kind,
+                  [k for k, (_, rows, cols) in _KINDS.items() if {rows, cols} != {"analytic"}])
     _check_maxtop(args.maxtop)
     op_class, row_kind, col_kind = _KINDS[args.kind]
     if op_class is ShiftY:
@@ -274,9 +286,9 @@ _SUITES = {
 
 def _cmd_verify(args) -> int:
     runner, window_kind, op_class, default_top = _SUITES[args.suite]
-    if args.symbol2 is not None and args.suite != "defect":
-        raise _InputError(
-            f"--symbol2 is read only by --suite defect, not by --suite {args.suite}")
+    _read_only_by("--symbol2", args.symbol2, "--suite", args.suite, ["defect"])
+    _read_only_by("--minbottom", args.minbottom, "--suite", args.suite,
+                  [s for s, (_, kind, _, _) in _SUITES.items() if kind != "analytic"])
     _check_maxtop(args.maxtop)
     if args.grid < 1:
         raise _InputError(f"--grid must be >= 1, got {args.grid}")

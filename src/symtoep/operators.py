@@ -442,7 +442,8 @@ def _distinguished(d: int, analytic: bool) -> tuple[tuple, tuple]:
     side: Z_i = DT_{conj s_i} with adjoint DT_{s_i}.  Z_d moves every index
     along the diagonal, up on the analytic side and down on the other.
     Memoized for the process, so the operators' column caches serve every
-    residual and commutator with the tuple.
+    residual and commutator with the tuple; the adjoints cache no column,
+    as _adjoint_steps alone reads them.
     """
     kind = Toeplitz if analytic else DualToeplitz
     coordinates = [elementary(d, i) for i in range(1, d + 1)]
@@ -456,10 +457,11 @@ def _adjoint_steps(q: Partition, analytic: bool) -> tuple:
     """(k, r) over the rows r of Z_{k+1}^* e_q, k = 0..d-1, for the tuple on q's side.
 
     Every value of those columns is 1.  Memoized for the process: the
-    batteries check many operators over the same rows.
+    batteries check many operators over the same rows.  As this memo is the
+    columns' one reader, it builds them uncached; the caller checked q's side.
     """
     adjoints = _distinguished(len(q), analytic)[1]
-    return tuple((k, r) for k, z in enumerate(adjoints) for r in z.column(q))
+    return tuple((k, r) for k, z in enumerate(adjoints) for r in z._image(q))
 
 
 def bh_residual_column(T: OperatorSpec, i: int, p, _made=None) -> dict:

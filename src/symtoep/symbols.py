@@ -8,7 +8,6 @@ sampled sup-norms are the only floating-point operations.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, hypot, isfinite, pi, prod, sqrt
 
 import numpy as np
@@ -93,9 +92,6 @@ class Symbol:
         """Largest |entry| over the support, 0 for the zero symbol."""
         return max((abs(e) for m in self.coeffs for e in m), default=0)
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, Symbol)
@@ -128,27 +124,8 @@ class Symbol:
             out[m] = out.get(m, ComplexRational(0)) + c
         return Symbol(self.d, out)
 
-    def __sub__(self, other):
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
     def __mul__(self, other):
-        if isinstance(other, Symbol):
-            if other.d != self.d:
-                raise DomainError("symbol dimension mismatch")
-            return multiply(self, other)
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            return self.scaled(other)
-        return NotImplemented
+        return multiply(self, other) if isinstance(other, Symbol) else NotImplemented
 
     # -- floating-point lane ------------------------------------------------
 

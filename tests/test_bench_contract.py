@@ -70,6 +70,7 @@ def test_tracer_counts_each_scalar_op_once(monkeypatch):
     ops = [lambda: z + w, lambda: z + 1, lambda: 1 + z, lambda: Fraction(1, 3) + z,
            lambda: z - w, lambda: z - 1, lambda: 1 - z, lambda: Fraction(1, 3) - z,
            lambda: z * w, lambda: z * 2, lambda: 2 * z, lambda: Fraction(1, 3) * z,
+           lambda: z + "1/2", lambda: z * "1/2", lambda: "1/2" - z,
            lambda: -z]
     tracer = tracing.Tracer()
     tracer.install()

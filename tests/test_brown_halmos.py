@@ -181,6 +181,25 @@ def test_residual_rows_off_the_side_raise(power, window, message):
             bh_residuals(Laurent(p * p), window)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_adjoint_steps_keep_no_column_in_the_adjoints(d):
+    """The per-row memo is the one reader of the adjoints' columns, so a
+    residual window on either side leaves none in the adjoints' caches, and
+    the memo lists the rows of Z_{k+1}^* e_q as fresh operators give them."""
+    coordinates = [elementary(d, i) for i in range(1, d + 1)]
+    for kind, window in ((Toeplitz, analytic_window(d, 5)),
+                         (DualToeplitz, dual_window(d, 0, -5))):
+        analytic = kind is Toeplitz
+        bh_residuals(kind(coordinates[0]), window)
+        adjoints = _distinguished(d, analytic)[1]
+        assert [vars(z).get("_col_cache", {}) for z in adjoints] == [{}] * d
+        fresh = [kind(s.conjugate() if analytic else s) for s in coordinates]
+        for q in window:
+            assert _adjoint_steps(q, analytic) == tuple(
+                (k, r) for k, z in enumerate(fresh) for r in z.column(q))
+        assert [vars(z).get("_col_cache", {}) for z in adjoints] == [{}] * d
+
+
 def test_memoized_steps_give_the_same_residuals_cold_and_warm():
     window = analytic_window(3, 4)
     battery = symbol_battery(3)

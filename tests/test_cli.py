@@ -173,6 +173,34 @@ def test_verify_second_symbol_outside_the_defect_suite(suite, s1_file, tmp_path,
     assert err == f"error: --symbol2 is read only by --suite defect, not by --suite {suite}\n"
 
 
+_ANALYTIC_SUITES = ["brown-halmos", "analytic", "defect", "decay", "eta"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    *[(["verify", "--suite", suite, "--symbol", "S1", "--minbottom", "-4"],
+       f"--minbottom is read only by --suite block/dual-brown-halmos/lift, not by --suite {suite}")
+      for suite in _ANALYTIC_SUITES],
+    (["matrix", "--kind", "toeplitz", "--symbol", "S1", "--d", "2", "--maxtop", "3",
+      "--minbottom", "-4", "--format", "json"],
+     "--minbottom is read only by --kind dual/hankel/laurent, not by --kind toeplitz"),
+    (["matrix", "--kind", "shiftY", "--j", "1", "--d", "2", "--maxtop", "3",
+      "--minbottom", "-4", "--format", "json"],
+     "--minbottom is read only by --kind dual/hankel/laurent, not by --kind shiftY"),
+    (["matrix", "--kind", "shiftY", "--j", "1", "--d", "2", "--maxtop", "3",
+      "--symbol", "/nonexistent.json"],
+     "--symbol is read only by --kind dual/hankel/laurent/toeplitz, not by --kind shiftY"),
+    (["matrix", "--kind", "toeplitz", "--symbol", "S1", "--d", "2", "--maxtop", "3",
+      "--j", "3"],
+     "--j is read only by --kind shiftY, not by --kind toeplitz"),
+], ids=[*(f"verify-{suite}-minbottom" for suite in _ANALYTIC_SUITES),
+        "toeplitz-minbottom", "shiftY-minbottom", "shiftY-symbol", "toeplitz-j"])
+def test_options_the_kind_or_suite_does_not_read(argv, message, s1_file, capsys):
+    """An option the chosen kind or suite would ignore is bad input, not a
+    value that the report's config prints and nothing uses."""
+    argv = [s1_file if a == "S1" else a for a in argv]
+    assert run_main(argv, capsys) == (2, "", f"error: {message}\n")
+
+
 def test_verify_eta_reports_nonzero_for_toeplitz(s1_file, capsys):
     code, out, _ = run_main(
         ["verify", "--suite", "eta", "--symbol", s1_file, "--j", "2"], capsys)

@@ -134,18 +134,22 @@ def argvs(draw):
     if command == "matrix":
         kind = draw(st.sampled_from(["toeplitz", "laurent", "hankel", "dual", "shiftY"]))
         argv = ["matrix", "--kind", kind, "--maxtop", str(draw(size_flag))]
-        if kind != "shiftY" or draw(st.booleans()):
+        # --symbol, --j, --minbottom and --symbol2 only for the kinds and suites
+        # that read them; the command rejects them elsewhere with exit 2
+        if kind != "shiftY":
             argv += ["--symbol", symbol_path("phi.json"), "--d", symbol_d("phi.json")]
         else:
             argv += ["--d", str(draw(flag_value))]
-        if kind == "shiftY" and draw(st.integers(0, 3)):
-            argv += ["--j", str(draw(st.integers(1, 3) | flag_value))]
-        else:
-            argv += _flag(draw, "--j", flag_value)
-        argv += _flag(draw, "--minbottom", flag_value)
+            if draw(st.integers(0, 3)):  # mostly the --j that shiftY requires
+                argv += ["--j", str(draw(st.integers(1, 3) | flag_value))]
+            else:
+                argv += _flag(draw, "--j", flag_value)
+        if cli._KINDS[kind][1:] != ("analytic", "analytic"):
+            argv += _flag(draw, "--minbottom", flag_value)
         argv += _flag(draw, "--format", st.sampled_from(["csv", "json"]))
     elif command == "verify":
-        argv = ["verify", "--suite", draw(st.sampled_from(sorted(cli._SUITES)))]
+        suite = draw(st.sampled_from(sorted(cli._SUITES)))
+        argv = ["verify", "--suite", suite]
         operator = draw(st.sampled_from([None, None, "shiftY1", "shiftY2", "shiftY0",
                                          "shiftY99", "shift"]))
         if operator is None or draw(st.integers(0, 3)) == 0:
@@ -154,12 +158,14 @@ def argvs(draw):
                 argv += ["--d", symbol_d("phi.json")]
         else:
             argv += ["--operator", operator, "--d", str(draw(flag_value))]
-        if draw(st.booleans()):
+        if suite == "defect" and draw(st.booleans()):
             argv += ["--symbol2", symbol_path("psi.json")]
         argv += _flag(draw, "--maxtop", size_flag)
         argv += _flag(draw, "--grid", size_flag)
-        for name in ("--minbottom", "--j"):
-            argv += _flag(draw, name, flag_value)
+        if cli._SUITES[suite][1] != "analytic":
+            argv += _flag(draw, "--minbottom", flag_value)
+        if suite in ("decay", "eta"):
+            argv += _flag(draw, "--j", flag_value)
     else:
         action = draw(st.sampled_from(["member", "check-unitary", "check-isometry",
                                        "solve-toeplitz"]))

@@ -84,9 +84,8 @@ def test_mixed_operands():
 
 
 def test_zero_predicate_and_bool():
-    assert ComplexRational(0).is_zero()
-    assert not ComplexRational(0, 1).is_zero()
     assert not bool(ComplexRational(0))
+    assert bool(ComplexRational(0, 1))
     assert bool(ComplexRational(Fraction(1, 7)))
 
 
@@ -210,6 +209,7 @@ def test_mixed_inputs_reach_the_stored_form(x, z, part):
     value = ComplexRational(part)
     assert _same(x + part, x + value)
     assert _same(x - part, x - value)
+    assert _same(x * part, x * value)
     assert _same(ComplexRational(Fraction(part), 0) + z, value + z)
     assert _same(ComplexRational(str(x.re), str(x.im)), x)
 

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -99,6 +100,12 @@ def test_combine_is_linear():
                                for m in a.coeffs.keys() | b.coeffs.keys()}
     z = (cmath.exp(0.7j), cmath.exp(-1.9j))
     assert combined.evaluate(z) == pytest.approx(2 * a.evaluate(z) + 1j * b.evaluate(z))
+
+
+@pytest.mark.parametrize("combine", [operator.add, operator.mul])
+def test_symbols_of_different_dimension_do_not_combine(combine):
+    with pytest.raises(DomainError, match="symbol dimension mismatch"):
+        combine(elementary(2, 1), elementary(3, 1))
 
 
 def test_evaluate_is_multiplicative():
