@@ -31,7 +31,6 @@ from .gamma import (
     point_in_bgamma,
     point_in_gamma,
     s_toeplitz_solve,
-    symmetrize_point,
     synth_gamma_unitary,
 )
 from .operators import (
@@ -65,7 +64,6 @@ from .partitions import (
     dual_window,
     enumerate_window,
     orbit_permutations,
-    regrade,
     shift,
 )
 from .scalars import ComplexRational
@@ -125,10 +123,8 @@ __all__ = [
     "point_in_gamma",
     "product_defect",
     "recover_symbol",
-    "regrade",
     "s_toeplitz_solve",
     "shift",
-    "symmetrize_point",
     "synth_gamma_unitary",
     "truncation_support",
     "unit",

@@ -180,11 +180,15 @@ def _window(kind: str, d: int, top: int, bottom: int) -> Window:
     return (dual_window if kind == "dual" else enumerate_window)(d, top, bottom)
 
 
-def _read_only_by(option: str, value, flag: str, chosen: str, readers) -> None:
-    """Reject an option given to a --kind or --suite that does not read it."""
-    if value is not None and chosen not in readers:
-        raise _InputError(f"{option} is read only by {flag} {'/'.join(sorted(readers))}, "
-                          f"not by {flag} {chosen}")
+def _reject_unread(args, flag: str, chosen: str, readers: dict) -> None:
+    """Reject the options given to a --kind or --suite that does not read
+    them; readers maps each option to the kinds or suites that do."""
+    unread = [f"{option} is read only by {flag} {'/'.join(sorted(names))}, "
+              f"not by {flag} {chosen}"
+              for option, names in readers.items()
+              if getattr(args, option[2:]) is not None and chosen not in names]
+    if unread:
+        raise _InputError("; ".join(unread))
 
 
 def _check_maxtop(maxtop: int | None) -> None:
@@ -203,11 +207,11 @@ _KINDS = {
 
 
 def _cmd_matrix(args) -> int:
-    _read_only_by("--symbol", args.symbol, "--kind", args.kind,
-                  [k for k, (cls, _, _) in _KINDS.items() if cls is not ShiftY])
-    _read_only_by("--j", args.j, "--kind", args.kind, ["shiftY"])
-    _read_only_by("--minbottom", args.minbottom, "--kind", args.kind,
-                  [k for k, (_, rows, cols) in _KINDS.items() if {rows, cols} != {"analytic"}])
+    _reject_unread(args, "--kind", args.kind, {
+        "--symbol": [k for k, (cls, _, _) in _KINDS.items() if cls is not ShiftY],
+        "--j": ["shiftY"],
+        "--minbottom": [k for k, (_, rows, cols) in _KINDS.items() if {rows, cols} != {"analytic"}],
+    })
     _check_maxtop(args.maxtop)
     op_class, row_kind, col_kind = _KINDS[args.kind]
     if op_class is ShiftY:
@@ -264,31 +268,47 @@ def _suite_lift(args, phi, op, window) -> Report:
 
 
 # suite: runner, window kind, the operator --symbol builds (None: the suite
-# reads only the symbol), and the default --maxtop from the height h and d.
-# A runner takes (args, phi, op, window) and returns the check's Report; it
-# looks its library function up when it runs, so a function patched on this
-# module after import is the one called.
+# reads only the symbol), the default --maxtop from the height h and d, and
+# the options of _SUITE_OPTIONS it reads.  A runner takes (args, phi, op,
+# window) and returns the check's Report; it looks its library function up
+# when it runs, so a function patched on this module after import is the one
+# called.
 _SUITES = {
-    "brown-halmos": (_suite_brown_halmos, "analytic", Toeplitz, lambda h, d: h + 4),
+    "brown-halmos": (_suite_brown_halmos, "analytic", Toeplitz, lambda h, d: h + 4, ()),
     "analytic": (lambda args, phi, op, w: classify_analytic(phi, w),
-                 "analytic", None, lambda h, d: h + d + 2),
-    "defect": (_suite_defect, "analytic", None, lambda h, d: 2 * h + 2),
+                 "analytic", None, lambda h, d: h + d + 2, ()),
+    "defect": (_suite_defect, "analytic", None, lambda h, d: 2 * h + 2, ("--symbol2",)),
     "block": (lambda args, phi, op, w: block_decomposition_check(phi, w),
-              "full", None, lambda h, d: h + 2),
-    "dual-brown-halmos": (_suite_brown_halmos, "dual", DualToeplitz, lambda h, d: h + 4),
-    "lift": (_suite_lift, "full", None, lambda h, d: h + 2),
+              "full", None, lambda h, d: h + 2, ("--minbottom",)),
+    "dual-brown-halmos": (_suite_brown_halmos, "dual", DualToeplitz, lambda h, d: h + 4,
+                          ("--minbottom",)),
+    "lift": (_suite_lift, "full", None, lambda h, d: h + 2, ("--minbottom", "--grid", "--seed")),
     "decay": (lambda args, phi, op, w: commutator_decay(op, args.j, 4, w, seed=args.seed),
-              "analytic", Toeplitz, lambda h, d: h + d + 8),
+              "analytic", Toeplitz, lambda h, d: h + d + 8, ("--j", "--seed")),
     "eta": (lambda args, phi, op, w: eta(op, args.j, w, seed=args.seed),
-            "analytic", Toeplitz, lambda h, d: h + d + 4),
+            "analytic", Toeplitz, lambda h, d: h + d + 4, ("--j", "--seed")),
 }
+# the verify options only some suites read, and the value each takes when it
+# is not given; the report's config echoes that value for every suite
+_SUITE_OPTIONS = {"--symbol2": None, "--minbottom": None, "--j": 1, "--grid": 128, "--seed": 42}
+
+
+def _check_j(suite: str, j: int, d: int) -> None:
+    """--j is the partner index 1..d-1 of decay and the power >= 0 of eta."""
+    if suite == "decay" and not 1 <= j <= d - 1:
+        raise _InputError(f"--j {j} out of range 1..{d - 1} for --suite decay at d={d}")
+    if suite == "eta" and j < 0:
+        raise _InputError(f"--j must be >= 0 for --suite eta, got {j}")
 
 
 def _cmd_verify(args) -> int:
-    runner, window_kind, op_class, default_top = _SUITES[args.suite]
-    _read_only_by("--symbol2", args.symbol2, "--suite", args.suite, ["defect"])
-    _read_only_by("--minbottom", args.minbottom, "--suite", args.suite,
-                  [s for s, (_, kind, _, _) in _SUITES.items() if kind != "analytic"])
+    runner, window_kind, op_class, default_top, _ = _SUITES[args.suite]
+    _reject_unread(args, "--suite", args.suite,
+                   {option: [s for s, entry in _SUITES.items() if option in entry[-1]]
+                    for option in _SUITE_OPTIONS})
+    for option, value in _SUITE_OPTIONS.items():
+        if getattr(args, option[2:]) is None:
+            setattr(args, option[2:], value)
     _check_maxtop(args.maxtop)
     if args.grid < 1:
         raise _InputError(f"--grid must be >= 1, got {args.grid}")
@@ -303,6 +323,7 @@ def _cmd_verify(args) -> int:
             raise _InputError("--operator requires --d")
         d, phi = args.d, None
         op = _parse_operator(args.operator, d)
+    _check_j(args.suite, args.j, d)
 
     height = 1 if phi is None else max(phi.height(), 1)
     top = args.maxtop if args.maxtop is not None else default_top(height, d)
@@ -386,7 +407,6 @@ def _cmd_gamma_solve(args) -> int:
 _OPTIONS = {
     "--tol": dict(type=float, default=1e-9,
                   help="numerical tolerance (exact checks ignore it)"),
-    "--seed": dict(type=int, default=42, help="seed for randomized estimates"),
     "--out": dict(default=None, help="write output to this path instead of stdout"),
 }
 
@@ -431,11 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--d", type=int, default=None)
     verify.add_argument("--maxtop", type=int, default=None)
     verify.add_argument("--minbottom", type=int, default=None)
-    verify.add_argument("--j", type=int, default=1,
-                        help="shift/partner index for eta and decay")
-    verify.add_argument("--grid", type=int, default=128,
-                        help="torus sampling grid size")
-    _add_options(verify, "--tol", "--seed", "--out")
+    verify.add_argument("--j", type=int, default=None,
+                        help="power for eta, partner index for decay "
+                             f"(default {_SUITE_OPTIONS['--j']})")
+    verify.add_argument("--grid", type=int, default=None,
+                        help="torus sampling grid size for lift "
+                             f"(default {_SUITE_OPTIONS['--grid']})")
+    verify.add_argument("--seed", type=int, default=None,
+                        help="seed for the norm estimates of decay, eta and lift "
+                             f"(default {_SUITE_OPTIONS['--seed']})")
+    _add_options(verify, "--tol", "--out")
     verify.set_defaults(func=_cmd_verify)
 
     gamma = sub.add_parser("gamma", help="symmetrized-polydisk checks")
@@ -452,7 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     unitary = gsub.add_parser("check-unitary")
     unitary.add_argument("--tuple", required=True, help="tuple JSON file")
-    _add_options(unitary, "--tol", "--seed", "--out")
+    unitary.add_argument("--seed", type=int, default=42,
+                         help="seed for the random combination it diagonalizes")
+    _add_options(unitary, "--tol", "--out")
     unitary.set_defaults(func=_cmd_gamma_check_unitary)
 
     isometry = gsub.add_parser("check-isometry")
@@ -472,8 +499,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # numpy's generators take non-negative seeds only
-        if getattr(args, "seed", 0) < 0:
+        # numpy's generators take non-negative seeds only; verify's is None
+        # when not given
+        if (getattr(args, "seed", None) or 0) < 0:
             raise _InputError(f"--seed must be >= 0, got {args.seed}")
         # a NaN, negative or infinite tolerance fails or passes every check
         if not 0.0 <= getattr(args, "tol", 0.0) < cmath.inf:

@@ -100,13 +100,6 @@ def point_in_bgamma(point, tol: float = 1e-9) -> Report:
     return _membership(margin, roots, tol)
 
 
-def symmetrize_point(zs) -> tuple:
-    """Elementary symmetric values (s_1, ..., s_d) of coordinates zs."""
-    zs = [complex(z) for z in zs]
-    coeffs = np.poly(zs)
-    return tuple((-1) ** k * complex(coeffs[k]) for k in range(1, len(zs) + 1))
-
-
 # -- structured tuples ---------------------------------------------------------
 
 

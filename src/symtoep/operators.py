@@ -336,11 +336,6 @@ class MatrixWindow:
         rows, cols = self.rows.members, self.cols.members
         return {(rows[i], cols[j]): v for (i, j), v in self.entries.items()}
 
-    def entry_at(self, q, p) -> ComplexRational:
-        i = self.rows.position[_as_partition(q)]
-        j = self.cols.position[_as_partition(p)]
-        return self.entries.get((i, j), ComplexRational(0))
-
     def _nonzero(self):
         """(row position, column position, value) of each nonzero entry, sorted."""
         for i, j in sorted(self.entries):

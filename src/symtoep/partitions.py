@@ -147,12 +147,6 @@ def shift(p: Partition, j: int, a: Optional[int] = None) -> Partition:
     return Partition._unsafe(moved) if j >= 0 or a == d else Partition(moved)
 
 
-def regrade(p: Partition) -> tuple[int, Partition]:
-    """Split p as (r, base) with base = p - r*(1,...,1) ending in 0."""
-    r = p[-1]
-    return r, shift(p, -r)
-
-
 class Window:
     """Finite, graded-lexicographically ordered set of strict partitions.
 

@@ -3,8 +3,8 @@
 A symbol is stored as one exact coefficient per orbit of the coordinate
 permutation action: keys are weakly decreasing integer d-tuples (orbit
 representatives), and the coefficient at any lattice point equals the
-coefficient at its representative.  All algebra is exact; evaluation and
-sampled sup-norms are the only floating-point operations.
+coefficient at its representative.  All algebra is exact; sampled
+sup-norms are the only floating-point operation.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .errors import DomainError, require_budget
 from .partitions import orbit_permutations, orbit_size
 from .scalars import ONE, ComplexRational
 
-TORUS_TOL = 1e-12
 # Largest torus sampling job torus_max accepts, counted in term evaluations
 # (lattice terms x grid points) over its one orbit pass of
 # C(grid_size + d - 1, d) points, before any point is evaluated.  It bounds
@@ -128,22 +127,6 @@ class Symbol:
         return multiply(self, other) if isinstance(other, Symbol) else NotImplemented
 
     # -- floating-point lane ------------------------------------------------
-
-    def evaluate(self, z) -> complex:
-        """Evaluate at a point of the d-torus (each |z_k| = 1 within 1e-12)."""
-        z = tuple(complex(x) for x in z)
-        if len(z) != self.d:
-            raise DomainError("evaluation point has wrong dimension")
-        for x in z:
-            if abs(abs(x) - 1.0) > TORUS_TOL:
-                raise DomainError(f"evaluation point off the torus: |{x}| != 1")
-        total = 0j
-        for point, c in self.lattice_terms():
-            w = 1.0 + 0j
-            for x, e in zip(z, point):
-                w *= x ** e
-            total += c.to_complex() * w
-        return total
 
     def sup_norm_sampled(self, grid_size: int) -> tuple[float, float]:
         """(sampled, upper): bounds on sup |phi| from one orbit pass over the

@@ -2,9 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
-from symtoep import Symbol, elementary, operators, unit
+from symtoep import ComplexRational, Symbol, elementary, operators, unit
 
 
 @pytest.fixture(autouse=True)
@@ -34,6 +35,19 @@ def symbol_battery(d: int) -> list[Symbol]:
         out.append(a * b)
     out.append(elementary(d, 1) + elementary(d, 1).conjugate())
     return out
+
+
+def symmetrize_point(zs) -> tuple:
+    """Elementary symmetric values (s_1, ..., s_d) of coordinates zs, read off
+    the coefficients of prod (x - z_k)."""
+    coeffs = np.poly([complex(z) for z in zs])
+    return tuple((-1) ** k * complex(coeffs[k]) for k in range(1, len(zs) + 1))
+
+
+def entry_at(matrix, q, p) -> ComplexRational:
+    """The entry of an assembled window matrix at row index q and column index p."""
+    i, j = matrix.rows.position[q], matrix.cols.position[p]
+    return matrix.entries.get((i, j), ComplexRational(0))
 
 
 def worst_failure(report) -> float:

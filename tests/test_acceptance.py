@@ -32,12 +32,11 @@ from symtoep import (
     product_defect,
     recover_symbol,
     s_toeplitz_solve,
-    symmetrize_point,
     synth_gamma_unitary,
     block_decomposition_check,
     zero_symbol,
 )
-from conftest import compose_columns, symbol_battery, worst_failure
+from conftest import compose_columns, symbol_battery, symmetrize_point, worst_failure
 from test_gamma import kron_nullspace_dimension
 
 

@@ -174,12 +174,25 @@ def test_verify_second_symbol_outside_the_defect_suite(suite, s1_file, tmp_path,
 
 
 _ANALYTIC_SUITES = ["brown-halmos", "analytic", "defect", "decay", "eta"]
+# the suites that read --j, --grid and --seed; every other suite ignores them
+_READERS = {"--j": "decay/eta", "--grid": "lift", "--seed": "decay/eta/lift"}
+_UNREAD = [(option, suite) for option, readers in _READERS.items()
+           for suite in ["brown-halmos", "analytic", "defect", "block", "dual-brown-halmos",
+                         "lift", "decay", "eta"] if suite not in readers.split("/")]
 
 
 @pytest.mark.parametrize("argv,message", [
     *[(["verify", "--suite", suite, "--symbol", "S1", "--minbottom", "-4"],
        f"--minbottom is read only by --suite block/dual-brown-halmos/lift, not by --suite {suite}")
       for suite in _ANALYTIC_SUITES],
+    *[(["verify", "--suite", suite, "--symbol", "S1", option, "3"],
+       f"{option} is read only by --suite {_READERS[option]}, not by --suite {suite}")
+      for option, suite in _UNREAD],
+    # every ignored option is named, each with the suites that read it
+    (["verify", "--suite", "brown-halmos", "--symbol", "S1", "--j", "5", "--grid", "7",
+      "--seed", "3"],
+     "; ".join(f"{option} is read only by --suite {readers}, not by --suite brown-halmos"
+               for option, readers in _READERS.items())),
     (["matrix", "--kind", "toeplitz", "--symbol", "S1", "--d", "2", "--maxtop", "3",
       "--minbottom", "-4", "--format", "json"],
      "--minbottom is read only by --kind dual/hankel/laurent, not by --kind toeplitz"),
@@ -193,12 +206,27 @@ _ANALYTIC_SUITES = ["brown-halmos", "analytic", "defect", "decay", "eta"]
       "--j", "3"],
      "--j is read only by --kind shiftY, not by --kind toeplitz"),
 ], ids=[*(f"verify-{suite}-minbottom" for suite in _ANALYTIC_SUITES),
+        *(f"verify-{suite}-{option[2:]}" for option, suite in _UNREAD), "verify-j-grid-seed",
         "toeplitz-minbottom", "shiftY-minbottom", "shiftY-symbol", "toeplitz-j"])
 def test_options_the_kind_or_suite_does_not_read(argv, message, s1_file, capsys):
     """An option the chosen kind or suite would ignore is bad input, not a
     value that the report's config prints and nothing uses."""
     argv = [s1_file if a == "S1" else a for a in argv]
     assert run_main(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("suite,j,message", [
+    ("decay", "0", "--j 0 out of range 1..1 for --suite decay at d=2"),
+    ("decay", "2", "--j 2 out of range 1..1 for --suite decay at d=2"),
+    ("eta", "-1", "--j must be >= 0 for --suite eta, got -1"),
+], ids=["decay-0", "decay-2", "eta-minus-1"])
+def test_verify_index_out_of_range_is_input_error(suite, j, message, s1_file, capsys):
+    """As for `matrix --kind shiftY --j` and `--operator shiftY<j>`, an index
+    outside its range is bad input (exit 2), not a domain error (exit 3)."""
+    assert run_main(["verify", "--suite", suite, "--symbol", s1_file, "--j", j], capsys) == (
+        2, "", f"error: {message}\n")
+    assert run_main(["verify", "--suite", suite, "--operator", "shiftY1", "--d", "2",
+                     "--j", j], capsys) == (2, "", f"error: {message}\n")
 
 
 def test_verify_eta_reports_nonzero_for_toeplitz(s1_file, capsys):

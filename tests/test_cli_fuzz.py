@@ -131,11 +131,12 @@ def argvs(draw):
         return str(draw(flag_value if own is None else mostly(st.just(own), flag_value)))
 
     command = draw(st.sampled_from(["matrix", "verify", "gamma"]))
+    reads = ()  # the options that only some suites or actions read, where this one does
     if command == "matrix":
         kind = draw(st.sampled_from(["toeplitz", "laurent", "hankel", "dual", "shiftY"]))
         argv = ["matrix", "--kind", kind, "--maxtop", str(draw(size_flag))]
-        # --symbol, --j, --minbottom and --symbol2 only for the kinds and suites
-        # that read them; the command rejects them elsewhere with exit 2
+        # --symbol, --j and --minbottom only for the kinds that read them; the
+        # command rejects them elsewhere with exit 2
         if kind != "shiftY":
             argv += ["--symbol", symbol_path("phi.json"), "--d", symbol_d("phi.json")]
         else:
@@ -149,6 +150,9 @@ def argvs(draw):
         argv += _flag(draw, "--format", st.sampled_from(["csv", "json"]))
     elif command == "verify":
         suite = draw(st.sampled_from(sorted(cli._SUITES)))
+        # each drawn only for the suites that read it; the command rejects it
+        # elsewhere with exit 2
+        reads = cli._SUITES[suite][-1]
         argv = ["verify", "--suite", suite]
         operator = draw(st.sampled_from([None, None, "shiftY1", "shiftY2", "shiftY0",
                                          "shiftY99", "shift"]))
@@ -158,18 +162,20 @@ def argvs(draw):
                 argv += ["--d", symbol_d("phi.json")]
         else:
             argv += ["--operator", operator, "--d", str(draw(flag_value))]
-        if suite == "defect" and draw(st.booleans()):
+        if "--symbol2" in reads and draw(st.booleans()):
             argv += ["--symbol2", symbol_path("psi.json")]
         argv += _flag(draw, "--maxtop", size_flag)
-        argv += _flag(draw, "--grid", size_flag)
-        if cli._SUITES[suite][1] != "analytic":
+        if "--grid" in reads:
+            argv += _flag(draw, "--grid", size_flag)
+        if "--minbottom" in reads:
             argv += _flag(draw, "--minbottom", flag_value)
-        if suite in ("decay", "eta"):
+        if "--j" in reads:
             argv += _flag(draw, "--j", flag_value)
     else:
         action = draw(st.sampled_from(["member", "check-unitary", "check-isometry",
                                        "solve-toeplitz"]))
         argv = ["gamma", action]
+        reads = ("--seed",) if action == "check-unitary" else ()
         if action == "member":
             coords = draw(st.lists(st.sampled_from(["0", "-1", "1j", "0.5+0.5j", "2", "1e308",
                                                     "nan", "x", ""]), max_size=20))
@@ -181,8 +187,9 @@ def argvs(draw):
             choice = draw(file_kind)
             files["tuple.json"] = draw(mutated(tuple_docs())) if choice == "doc" else choice
             argv += ["--tuple", "tuple.json"]
-    # each option only where the command reads it; argparse rejects it elsewhere
-    if argv[:2] == ["gamma", "check-unitary"] or command == "verify":
+    # --seed and --tol only where the command reads them; argparse or the
+    # command rejects them elsewhere
+    if "--seed" in reads:
         argv += _flag(draw, "--seed", flag_value)
     if command != "matrix":
         argv += _flag(draw, "--tol", mostly(st.just(1e-9), st.sampled_from([0.0, -1.0, math.nan,

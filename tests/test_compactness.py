@@ -22,7 +22,7 @@ from symtoep import (
     unit,
 )
 from symtoep.compactness import eta_blocks
-from conftest import symbol_battery
+from conftest import entry_at, symbol_battery
 
 
 def rank_one_at(p):
@@ -125,7 +125,7 @@ def test_eta_blocks_are_entries_at_shifted_indices():
             for p in window:
                 shifted_q = Partition(tuple(x + 2 * s for x, s in zip(q, fa)))
                 shifted_p = Partition(tuple(x + 2 * s for x, s in zip(p, fb)))
-                assert block.entry_at(q, p) == op.entry(shifted_q, shifted_p)
+                assert entry_at(block, q, p) == op.entry(shifted_q, shifted_p)
 
 
 def test_finite_rank_truncation_of_identity():

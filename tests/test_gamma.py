@@ -20,11 +20,10 @@ from symtoep import (
     point_in_bgamma,
     point_in_gamma,
     s_toeplitz_solve,
-    symmetrize_point,
     synth_gamma_unitary,
 )
 from symtoep import gamma
-from conftest import worst_failure
+from conftest import symmetrize_point, worst_failure
 
 
 def random_commuting_unitaries(d: int, n: int, seed: int, conjugate: bool = True):

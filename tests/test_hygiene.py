@@ -1,11 +1,13 @@
 """Static checks on the source tree: no unused import, no unread private name,
-no default of a private function that no call sets.
+no default of a private function that no call sets, and no public name that
+only tests read.
 
-All three read the modules with `ast` and import nothing.  Re-exports in
+All four read the modules with `ast` and import nothing.  Re-exports in
 `symtoep/__init__.py` and `from __future__` imports are not uses a scan can
 see, so they are skipped.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -106,3 +108,34 @@ def test_every_keyword_default_of_a_private_function_in_src_is_passed():
             unset += [f"{path.name}:{node.lineno} {node.name}({a.arg})" for a, i in defaulted
                       if not any(_passes(call, node.name, a.arg, i) for call in calls)]
     assert unset == []
+
+
+# Public names with no reader yet in the CLI, the benchmark or a README
+# example: the compact-perturbation check and its F_l truncations wait for a
+# `verify` suite, and synth_gamma_unitary builds the tuples of the gamma
+# tests.  The index and report types reach a caller as what the library
+# returns, and shift and orbit_permutations are the index helpers the tests
+# build their expectations from.
+_UNREAD_PUBLIC = {
+    "asymptotic_classify", "el_projection", "f_l_projection", "finite_rank_truncation",
+    "truncation_support", "synth_gamma_unitary",
+    "BlockReport", "ClassifyReport", "Partition", "SignedPartition",
+    "orbit_permutations", "shift",
+}
+
+
+def test_every_public_name_is_read_by_the_cli_the_benchmark_or_the_readme():
+    """A public name that only tests read is a test oracle, not library
+    surface; bench/tracing.py patches the functions it times by name."""
+    public = next(ast.literal_eval(node.value)
+                  for node in _tree(ROOT / "src" / "symtoep" / "__init__.py").body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "__all__")
+    trees = [_tree(ROOT / "src" / "symtoep" / "cli.py")]
+    bench = [_tree(path) for path in sorted((ROOT / "bench").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    trees += bench + [ast.parse(block)
+                      for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    read = set().union(*map(_reads, trees))
+    read |= {node.value for tree in bench for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(set(public) - read) == sorted(_UNREAD_PUBLIC)

@@ -36,7 +36,7 @@ from symtoep import (
 )
 from symtoep.operators import Commutator, _distinguished
 from symtoep.scalars import ONE
-from conftest import compose_columns, symbol_battery
+from conftest import compose_columns, entry_at, symbol_battery
 
 
 def perm_sign(perm) -> int:
@@ -234,8 +234,8 @@ def test_laurent_coordinates_commute_and_step_along_the_diagonal(d):
     """The Laurent tuple (L_{s_1}, ..., L_{s_d}) on both sides of the model.
 
     Its members commute exactly, column by column with no truncation, and
-    L_{s_d} moves e_p to e_{p+1}, one step along the diagonal, so that with
-    regrade every index is reached from an analytic one.  Neither fact
+    L_{s_d} moves e_p to e_{p+1}, one step along the diagonal, so that every
+    index p is reached from the analytic index p - p[-1].  Neither fact
     depends on a symbol; that the analytic compression of L_phi is T_phi is
     the lift suite's blockOk.
     """
@@ -427,7 +427,7 @@ def test_assemble_and_matrix_window():
     for i, q in enumerate(win):
         for j, p in enumerate(win):
             assert dense[i, j] == Toeplitz(phi).entry(q, p).to_complex()
-    assert m.entry_at(Partition((2, 0)), Partition((1, 0))) == ComplexRational(1)
+    assert entry_at(m, Partition((2, 0)), Partition((1, 0))) == ComplexRational(1)
     assert m.max_abs() == 1.0
     header, *lines = m.to_csv_text().strip().split("\n")
     assert header == "row;col;re;im"
@@ -450,4 +450,4 @@ def test_nonzero_witnesses_ordering():
     assert len(witnesses) == 3
     q, p, v = witnesses[0]
     assert v == ComplexRational(1)
-    assert m.entry_at(q, p) == v
+    assert entry_at(m, q, p) == v

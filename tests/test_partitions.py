@@ -19,7 +19,6 @@ from symtoep import (
     dual_window,
     enumerate_window,
     orbit_permutations,
-    regrade,
     shift,
 )
 
@@ -173,7 +172,8 @@ def test_shift_and_regrade_round_trip():
     p = Partition((3, 1))
     assert shift(p, 2) == Partition((5, 3))
     assert shift(p, -1) == Partition((2, 0))
-    r, base = regrade(Partition((3, 1)))
+    # p = base + r*(1,...,1) with r = p[-1], so base ends in 0
+    r, base = p[-1], shift(p, -p[-1])
     assert (r, tuple(base)) == (1, (2, 0))
     assert shift(base, r) == p
     rng = random.Random(5)
@@ -181,7 +181,7 @@ def test_shift_and_regrade_round_trip():
         d = rng.choice([2, 3])
         vals = sorted(rng.sample(range(-8, 9), d), reverse=True)
         q = Partition(tuple(vals))
-        r, base = regrade(q)
+        r, base = q[-1], shift(q, -q[-1])
         assert base[-1] == 0
         assert shift(base, r) == q
 

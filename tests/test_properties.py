@@ -49,6 +49,7 @@ from symtoep import (
 from symtoep.compactness import eta_blocks
 from symtoep.operators import Commutator, _distinguished
 from symtoep.scalars import ONE
+from conftest import entry_at
 
 HEIGHT = 2
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -112,7 +113,7 @@ def _assert_column_route_equals_entry_route(phi, analytic, data):
     for i, res in enumerate(residuals, start=1):
         for q in window:
             for p in window:
-                assert res.entry_at(q, p) == bh_residual_entry(op, i, q, p), (i, q, p)
+                assert entry_at(res, q, p) == bh_residual_entry(op, i, q, p), (i, q, p)
         for p in window:
             # a bare call makes its own d residuals at p; bh_residuals shared one dict
             col = bh_residual_column(op, i, p)
@@ -280,7 +281,7 @@ def test_eta_blocks_are_entries_at_shifted_indices(phi, perturb, data):
             for q in window:
                 for p in window:
                     want = op.entry(shift(q, j, a), shift(p, j, b))
-                    assert block.entry_at(q, p) == want, (j, a, b, q, p)
+                    assert entry_at(block, q, p) == want, (j, a, b, q, p)
 
 
 @PROPERTY
@@ -294,7 +295,7 @@ def test_finite_rank_truncation_is_the_entry_route_mask(phi, perturb, level, dat
         for p in window:
             masked = q in support or p in support
             want = ComplexRational(0) if masked else op.entry(q, p)
-            assert m.entry_at(q, p) == want, (q, p)
+            assert entry_at(m, q, p) == want, (q, p)
 
 
 @PROPERTY
